@@ -6,15 +6,29 @@ sectors: the optimal sector P* increments by one at a sequence of
 critical couplings.  A scan records, per coupling, the Goldstone gap
 E^{P*+1}_0 - E^{P*}_0, the Higgs gap E^{P*}_1 - E^{P*}_0 and the optical
 gap E^{P*+1}_1 - E^{P*}_0.
+
+Every sector Hamiltonian is tridiagonal.  P* is chosen from each
+sector's lowest eigenvalue alone, found by LAPACK Sturm-count bisection
+(``dstebz``) on the ``(diag, offdiag)`` bands; only P* and P*+1 are
+fully diagonalized and certified.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dstebz
 
 from . import eigen
-from .model import FullBasis, ModelParams, SectorBasis, build_full_hamiltonian, build_sector_hamiltonian, parity_blocks
+from .model import (
+    FullBasis,
+    ModelParams,
+    SectorBasis,
+    build_full_hamiltonian,
+    build_sector_hamiltonian,
+    iter_sector_bands,
+    parity_blocks,
+)
 from .theory import saddle_point
 
 __all__ = [
@@ -34,6 +48,8 @@ __all__ = [
 DEFAULT_EIGEN_TOL = 1e-8
 NMAX_CAP = 4096
 _P_MAX_RETRIES = 6
+# Bisection to full relative accuracy: LAPACK recommends 2 * safe minimum.
+_BISECTION_ABSTOL = 2 * np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -120,29 +136,54 @@ def default_p_max(params: ModelParams, g_max: float) -> int:
     return math.ceil(4 * sp.lambda_a**2) + params.n_atoms + 4
 
 
+def _lowest_energies(params: ModelParams, sectors) -> list[float]:
+    """Lowest eigenvalue of each sector by LAPACK Sturm-count bisection."""
+    e0 = []
+    for p, (diag, off) in zip(sectors, iter_sector_bands(params, sectors)):
+        if off.size == 0:  # sector P = 0; the dstebz wrapper rejects an empty off-diagonal
+            e0.append(float(diag[0]))
+            continue
+        _, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, _BISECTION_ABSTOL, "E")
+        if info != 0:
+            raise eigen.EigenError(f"bisection failed on sector P = {p} (info = {info})")
+        e0.append(float(w[0]))
+    return e0
+
+
 def solve_ground(
     params: ModelParams, p_max: int | None = None, tol: float = DEFAULT_EIGEN_TOL
 ) -> GroundSolve:
     """Locate the ground sector P* and solve it and its neighbor.
 
-    Diagonalizes sectors P = 0..p_max, picks the sector with the lowest
-    ground energy (ties within 1e-12 go to the smaller P), and retries
-    with a larger range until P* <= p_max - 2.
+    Finds the lowest eigenvalue of every sector P = 0..p_max by
+    bisection, picks the sector with the lowest one (ties within 1e-12
+    go to the smaller P), and widens the range until P* <= p_max - 2.
+    Only sectors P* and P*+1 get the full certified decomposition, and
+    their certified ground energies must match the bisection values.
 
     Raises
     ------
     RuntimeError
         If the sector range is still exhausted after retries.
+    EigenError
+        If a certified ground energy of P* or P*+1 differs from its
+        bisection value by more than tol * max(1, max |E|) of the sector.
     """
     p_max_eff = default_p_max(params, params.g) if p_max is None else p_max
+    e0: list[float] = []
     for _ in range(_P_MAX_RETRIES):
-        spectra = [solve_sector(params, p, tol=tol) for p in range(p_max_eff + 1)]
-        e0 = np.array([s.energies[0] for s in spectra])
-        e_min = e0.min()
-        p_star = int(np.nonzero(e0 <= e_min + 1e-12)[0][0])
+        e0 += _lowest_energies(params, range(len(e0), p_max_eff + 1))
+        e_min = min(e0)
+        p_star = next(p for p, e in enumerate(e0) if e <= e_min + 1e-12)
         if p_star <= p_max_eff - 2:
-            spec = spectra[p_star]
-            spec_next = spectra[p_star + 1]
+            spec = solve_sector(params, p_star, tol=tol)
+            spec_next = solve_sector(params, p_star + 1, tol=tol)
+            for s in (spec, spec_next):
+                if abs(s.energies[0] - e0[s.p]) > tol * max(1.0, np.abs(s.energies).max()):
+                    raise eigen.EigenError(
+                        f"sector P = {s.p}: certified ground energy {s.energies[0]!r} "
+                        f"differs from bisection {e0[s.p]!r}"
+                    )
             point = GroundScanPoint(
                 g=params.g,
                 p_star=p_star,

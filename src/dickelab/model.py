@@ -21,6 +21,7 @@ non-negative (a global gauge choice that leaves spectra and squared
 amplitudes unchanged).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = [
     "SectorBasis",
     "FullBasis",
     "sector_dimension",
+    "sector_bands",
+    "iter_sector_bands",
     "build_sector_hamiltonian",
     "build_full_hamiltonian",
     "parity_blocks",
@@ -163,8 +166,13 @@ def sector_dimension(n_atoms: int, p: int) -> int:
     return min(p, n_atoms) + 1
 
 
-def build_sector_hamiltonian(params: ModelParams, p: int) -> np.ndarray:
-    """Assemble the Hamiltonian block of the excitation sector P.
+# Matrix elements per block of sectors evaluated together by iter_sector_bands.
+_BAND_BLOCK = 2**16
+
+
+def iter_sector_bands(params: ModelParams, sectors):
+    """Yield the diagonal and off-diagonal of the tridiagonal Hamiltonian
+    of every sector P in the sequence ``sectors``, in order.
 
     Requires g' = 0; the counter-rotating term breaks the U(1) symmetry
     that defines the sectors.  Matrix elements follow a|n> = sqrt(n)|n-1>
@@ -174,31 +182,53 @@ def build_sector_hamiltonian(params: ModelParams, p: int) -> np.ndarray:
                     + lambda_z m (P-s)/j + u m^2/j
         H[s, s+1] = (g/sqrt(N)) sqrt((s+1)(N-s)) sqrt(P-s)
 
-    Returns
-    -------
-    numpy.ndarray
-        Dense symmetric matrix over ``SectorBasis(p, params.n_atoms)``.
+    Sectors are evaluated together on one (P, s) grid with s = 0..N, in
+    blocks of about ``_BAND_BLOCK`` elements, so many small sectors cost
+    about as much as one and memory stays bounded.
+
+    Yields
+    ------
+    (numpy.ndarray, numpy.ndarray)
+        ``(diag, offdiag)`` of lengths dim and dim - 1 over
+        ``SectorBasis(P, params.n_atoms)``.
     """
     if params.g_prime != 0:
         raise ValueError("excitation sectors exist only for g_prime = 0")
-    basis = SectorBasis(p=p, n_atoms=params.n_atoms)
     N = params.n_atoms
     j = params.j
-    s = np.arange(basis.dim)
+    s = np.arange(N + 1)
     m = s - N / 2
-    diag = (
-        params.omega_a * (p - s)
-        + params.omega_b * m
-        + params.lambda_z * m * (p - s) / j
-        + params.u * m**2 / j
-    )
+    sl = s[:-1]
+    labels = np.asarray(sectors, dtype=int)
+    block = max(1, _BAND_BLOCK // (N + 1))
+    for start in range(0, labels.size, block):
+        p = labels[start : start + block]
+        n = p[:, np.newaxis] - s
+        diag = (
+            params.omega_a * n
+            + params.omega_b * m
+            + params.lambda_z * m * n / j
+            + params.u * m**2 / j
+        )
+        with np.errstate(invalid="ignore"):  # P - s < 0 only past a sector's dimension
+            off = (params.g / math.sqrt(N)) * np.sqrt((sl + 1) * (N - sl)) * np.sqrt(n[:, :-1])
+        for q, d, e in zip(p.tolist(), diag, off):
+            dim = SectorBasis(p=q, n_atoms=N).dim
+            yield d[:dim], e[: dim - 1]
+
+
+def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(diag, offdiag)`` of the sector P; see ``iter_sector_bands``."""
+    return next(iter_sector_bands(params, [p]))
+
+
+def build_sector_hamiltonian(params: ModelParams, p: int) -> np.ndarray:
+    """Dense symmetric form of ``sector_bands(params, p)``."""
+    diag, off = sector_bands(params, p)
     h = np.diag(diag)
-    if basis.dim > 1:
-        sl = s[:-1]
-        off = (params.g / np.sqrt(N)) * np.sqrt((sl + 1) * (N - sl)) * np.sqrt(p - sl)
-        rows = np.arange(basis.dim - 1)
-        h[rows, rows + 1] = off
-        h[rows + 1, rows] = off
+    rows = np.arange(off.size)
+    h[rows, rows + 1] = off
+    h[rows + 1, rows] = off
     return h
 
 

@@ -49,9 +49,12 @@ NEAR_QCP_P_STAR = 3  # rows below this ground sector are flagged near the transi
 _MASKED_QUANTITIES = ("goldstone", "optical")  # masking applies to E_G and E_o enforcement
 REL_DEV_FLOOR = 1e-12
 
-# Engineering bands for `compare`; median finite-size agreement bands at
-# desk scale.  The mandel entry approximates the absolute |dQ| <= 0.05
-# band relative to |Q_M| >= 0.6 on resonance.
+# Engineering bands for `compare`, fixed at every N with no 1/N allowance.
+# On g/g_c in [2, 3] (26 points, resonance) the c_o and optical bands fail
+# at N = 3 (max deviations 0.357 and 0.121) and N = 6 (0.193 and 0.055),
+# and every band passes at N = 12 (0.098 and 0.025).  The mandel entry
+# approximates the absolute |dQ| <= 0.05 band relative to |Q_M| >= 0.6 on
+# resonance.
 DEFAULT_THRESHOLDS = {
     "higgs": 0.10,
     "optical": 0.05,

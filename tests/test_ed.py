@@ -2,9 +2,24 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from dickelab.ed import auto_nmax, ground_state_scan, solve_full, solve_ground, solve_sector
-from dickelab.model import FullBasis, ModelParams, photon_annihilation
-from dickelab.theory import saddle_point
+from dickelab import ed, model
+from dickelab.ed import auto_nmax, default_p_max, ground_state_scan, solve_full, solve_ground, solve_sector
+from dickelab.eigen import EigenError
+from dickelab.model import (
+    FullBasis,
+    ModelParams,
+    build_sector_hamiltonian,
+    iter_sector_bands,
+    photon_annihilation,
+    sector_bands,
+)
+from dickelab.observables import (
+    mean_photon_number,
+    number_correlation,
+    photon_correlation,
+    photon_number_variance,
+)
+from dickelab.theory import critical_coupling, saddle_point
 
 RESONANT = ModelParams(omega_a=1, omega_b=1, g=1.0, n_atoms=1)
 
@@ -173,3 +188,96 @@ def test_certificates_travel_with_spectra():
     full = solve_full(params, 8, 1)
     assert full.max_residual <= 1e-8 * 10
     assert full.ortho_defect <= 1e-10
+
+
+def _ground_from_every_sector(params, p_max):
+    """Reference: full certified solve of every sector 0..p_max, argmin of
+    the ground energies with ties within 1e-12 going to the smaller P."""
+    spectra = [solve_sector(params, p) for p in range(p_max + 1)]
+    e0 = np.array([spec.energies[0] for spec in spectra])
+    p_star = int(np.nonzero(e0 <= e0.min() + 1e-12)[0][0])
+    assert p_star <= p_max - 2
+    spec, spec_next = spectra[p_star], spectra[p_star + 1]
+    e = spec.energies
+    return (
+        p_star,
+        e[0],
+        spec_next.energies[0] - e[0],
+        e[1] - e[0] if e.size >= 2 else None,
+        spec_next.energies[1] - e[0],
+    )
+
+
+EQUIVALENCE_TEMPLATES = [ModelParams(n_atoms=n) for n in (1, 2, 3, 5, 8)] + [
+    ModelParams(omega_a=1.3, omega_b=0.7, n_atoms=3),
+    ModelParams(lambda_z=0.3, n_atoms=4),
+    ModelParams(u=0.2, n_atoms=4),
+    ModelParams(omega_a=0.8, lambda_z=-0.2, u=-0.1, n_atoms=3),
+]
+
+
+@pytest.mark.parametrize(
+    "template",
+    EQUIVALENCE_TEMPLATES,
+    ids=["N1", "N2", "N3", "N5", "N8", "N3-detuned", "N4-lambda_z", "N4-u", "N3-lambda_z-u"],
+)
+def test_solve_ground_matches_full_solve_of_every_sector(template):
+    # g = 0 has diagonal sectors; g = g_c at N = 3 on resonance is an exact
+    # tie between P = 0 and P = 1
+    gc = critical_coupling(template)
+    for ratio in (0.0, 0.5, 1.0, 1.7, 3.0):
+        params = replace(template, g=ratio * gc)
+        point = solve_ground(params).point
+        got = (point.p_star, point.ground_energy, point.e_goldstone, point.e_higgs, point.e_optical)
+        assert got == _ground_from_every_sector(params, default_p_max(params, params.g))
+
+
+def test_solve_ground_widens_a_short_sector_range():
+    params = ModelParams(omega_a=1, omega_b=1, g=3.0, n_atoms=3)
+    full = solve_ground(params).point
+    assert full.p_star > 4
+    assert solve_ground(params, p_max=2).point == full  # retries at p_max = 8, 20
+
+
+def test_sector_hamiltonian_is_dense_form_of_bands():
+    params = ModelParams(omega_a=1.3, omega_b=0.7, g=1.1, lambda_z=0.2, u=-0.1, n_atoms=4)
+    for p in (0, 2, 4, 7):  # P = 0, P < N, P = N, P > N
+        diag, off = sector_bands(params, p)
+        assert diag.shape == (min(p, 4) + 1,) and off.shape == (min(p, 4),)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.array_equal(build_sector_hamiltonian(params, p), dense)
+
+
+def test_sector_bands_do_not_depend_on_blocking(monkeypatch):
+    params = ModelParams(omega_a=1.3, omega_b=0.7, g=1.1, lambda_z=0.2, u=-0.1, n_atoms=4)
+    one_block = list(iter_sector_bands(params, range(3, 40)))
+    monkeypatch.setattr(model, "_BAND_BLOCK", 7)  # one sector per block
+    for (d1, e1), p in zip(one_block, range(3, 40)):
+        d2, e2 = sector_bands(params, p)
+        assert np.array_equal(d1, d2) and np.array_equal(e1, e2)
+    assert [len(d) for d, _ in iter_sector_bands(params, range(0, 7))] == [1, 2, 3, 4, 5, 5, 5]
+
+
+def test_solve_ground_rejects_bisection_mismatch(monkeypatch):
+    real = ed.dstebz
+
+    def shifted(*args):
+        m, w, iblock, isplit, info = real(*args)
+        return m, w + 1e-3, iblock, isplit, info
+
+    monkeypatch.setattr(ed, "dstebz", shifted)
+    with pytest.raises(EigenError, match="bisection"):
+        solve_ground(ModelParams(omega_a=1, omega_b=1, g=2.0, n_atoms=3))
+
+
+def test_solve_ground_large_n_is_certified():
+    template = ModelParams(omega_a=1, omega_b=1, n_atoms=200)
+    gs = solve_ground(replace(template, g=2 * critical_coupling(template)))
+    assert gs.point.p_star == 263
+    for spec in (gs.spectrum, gs.spectrum_next):
+        assert spec.max_residual <= 1e-8 * max(1.0, np.abs(spec.energies).max())
+        assert spec.ortho_defect <= 1e-10
+    photon = photon_correlation(gs.spectrum, gs.spectrum_next)
+    assert photon.total_weight() == pytest.approx(mean_photon_number(gs.spectrum) + 1, rel=1e-8)
+    number = number_correlation(gs.spectrum)
+    assert number.total_weight() == pytest.approx(photon_number_variance(gs.spectrum), rel=1e-8)

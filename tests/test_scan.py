@@ -231,6 +231,27 @@ def test_cli_compare_fails_on_tight_thresholds(tmp_path):
     assert main(["compare", str(tmp_path / "out"), "--thresholds", str(thresholds)]) == 1
 
 
+@pytest.mark.parametrize(
+    "n_atoms, passed, c_o, optical", [(3, False, 0.357, 0.121), (12, True, 0.098, 0.025)]
+)
+def test_default_bands_fail_at_n3_and_pass_at_n12(tmp_path, n_atoms, passed, c_o, optical):
+    # the default bands carry no 1/N allowance: on g/g_c in [2, 3] the
+    # finite-N deviations of C_o and E_o exceed them at N = 3
+    cfg = _write_config(
+        tmp_path,
+        model={"omega_a": 1.0, "omega_b": 1.0, "n_atoms": n_atoms},
+        grid={"start": 2.0, "stop": 3.0, "count": 26},
+        quantities=["weights", "optical"],
+    )
+    assert main(["scan", str(cfg)]) == 0
+    assert main(["compare", str(tmp_path / "out")]) == (0 if passed else 1)
+    report = compare_report(load_rows(tmp_path / "out"))
+    max_dev = {q.quantity: q.max_deviation for q in report.quantities}
+    assert report.passed is passed
+    assert max_dev["c_o"] == pytest.approx(c_o, abs=1e-3)
+    assert max_dev["optical"] == pytest.approx(optical, abs=1e-3)
+
+
 def test_cli_rejects_invalid_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 1}))
