@@ -7,10 +7,14 @@ critical couplings.  A scan records, per coupling, the Goldstone gap
 E^{P*+1}_0 - E^{P*}_0, the Higgs gap E^{P*}_1 - E^{P*}_0 and the optical
 gap E^{P*+1}_1 - E^{P*}_0.
 
-Every sector Hamiltonian is tridiagonal.  P* is chosen from each
-sector's lowest eigenvalue alone, found by LAPACK Sturm-count bisection
-(``dstebz``) on the ``(diag, offdiag)`` bands; only P* and P*+1 are
-fully diagonalized and certified.
+Every sector Hamiltonian is tridiagonal.  P* is chosen from the sectors'
+lowest eigenvalues, found by LAPACK Sturm-count bisection (``dstebz``) on
+the ``(diag, offdiag)`` bands.  One Sturm count over all sectors at once
+first proves which sectors can hold the minimum, so only those (usually
+one or two) are bisected; only P* and P*+1 are fully diagonalized and
+certified.  Every eigensolve declares the blocks its matrix is known to
+split into (a diagonal sector at g = 0, conserved n + s or n - s in a
+parity block), so eigenvectors keep exact zeros outside their block.
 """
 
 import math
@@ -26,6 +30,7 @@ from .model import (
     SectorBasis,
     build_full_hamiltonian,
     build_sector_hamiltonian,
+    iter_band_columns,
     iter_sector_bands,
     parity_blocks,
 )
@@ -50,6 +55,12 @@ NMAX_CAP = 4096
 _P_MAX_RETRIES = 6
 # Bisection to full relative accuracy: LAPACK recommends 2 * safe minimum.
 _BISECTION_ABSTOL = 2 * np.finfo(float).tiny
+# Sectors whose ground energies differ by at most this are tied; P* is the
+# smaller one.
+_TIE_WINDOW = 1e-12
+# Rounding allowance of a Sturm count and of a bisection, in units of
+# (N + 1) eps (|T| + |x|): each is a few eps |T| (Kahan's backward error).
+_STURM_SLACK = 8
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,10 @@ class GroundSolve:
 def solve_sector(params: ModelParams, p: int, tol: float = DEFAULT_EIGEN_TOL) -> SectorSpectrum:
     """Certified spectrum of the excitation sector P (g' = 0)."""
     h = build_sector_hamiltonian(params, p)
-    dec = eigen.eigh(h, tol=tol)
+    # Every off-diagonal element is nonzero for g > 0; at g = 0 the sector
+    # is diagonal and each basis state is an eigenstate.
+    blocks = None if params.g > 0 else [[s] for s in range(h.shape[0])]
+    dec = eigen.eigh(h, tol=tol, blocks=blocks)
     return SectorSpectrum(
         basis=SectorBasis(p=p, n_atoms=params.n_atoms),
         energies=dec.eigenvalues,
@@ -136,18 +150,60 @@ def default_p_max(params: ModelParams, g_max: float) -> int:
     return math.ceil(4 * sp.lambda_a**2) + params.n_atoms + 4
 
 
-def _lowest_energies(params: ModelParams, sectors) -> list[float]:
-    """Lowest eigenvalue of each sector by LAPACK Sturm-count bisection."""
-    e0 = []
-    for p, (diag, off) in zip(sectors, iter_sector_bands(params, sectors)):
+def _bisect_lowest(params: ModelParams, sectors, e0: dict[int, float]) -> None:
+    """Add to ``e0`` the lowest eigenvalue of each sector not yet in it,
+    by LAPACK Sturm-count bisection."""
+    todo = [p for p in sectors if p not in e0]
+    for p, (diag, off) in zip(todo, iter_sector_bands(params, todo)):
         if off.size == 0:  # sector P = 0; the dstebz wrapper rejects an empty off-diagonal
-            e0.append(float(diag[0]))
+            e0[p] = float(diag[0])
             continue
         _, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, _BISECTION_ABSTOL, "E")
         if info != 0:
             raise eigen.EigenError(f"bisection failed on sector P = {p} (info = {info})")
-        e0.append(float(w[0]))
-    return e0
+        e0[p] = float(w[0])
+
+
+def _sectors_reaching(params: ModelParams, sectors, x: float) -> list[int]:
+    """The sectors among ``sectors`` that may have an eigenvalue at or
+    below ``x``.
+
+    One Sturm count per sector, vectorized over P and looping over s,
+    follows LAPACK ``dlaebz``: pivots q_s = (d_s - e_{s-1}^2 / q_{s-1}) - y,
+    a pivot smaller in magnitude than pivmin = safe-min * max(1, max e^2)
+    is replaced by -pivmin, and a pivot <= 0 counts an eigenvalue <= y.
+    The count is taken at y = x + delta with delta = _STURM_SLACK (N + 1)
+    eps (max|d| + 2 max|e| + |x|) per sector, which bounds the rounding of
+    this count and of the ``dstebz`` bisection, so a sector left out has a
+    bisected lowest eigenvalue above ``x``.  The bands come in bounded
+    blocks of s; a grid of more than one block is evaluated twice, once
+    for the norms and once for the count.
+    """
+    p = np.asarray(sectors, dtype=int)
+    N = params.n_atoms
+    d_max = np.zeros(p.size)
+    e_max = np.zeros(p.size)
+    n_blocks = 0
+    for s, diag, off in iter_band_columns(params, p):
+        outside = s[:, np.newaxis] > p
+        d_max = np.maximum(d_max, np.abs(np.where(outside, 0.0, diag)).max(axis=0))
+        e_max = np.maximum(e_max, np.abs(off).max(axis=0))
+        n_blocks += 1
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, e_max**2)
+    y = x + _STURM_SLACK * (N + 1) * np.finfo(float).eps * (d_max + 2 * e_max + abs(x))
+    reaching = np.zeros(p.size, dtype=bool)
+    q = e2 = None
+    blocks = [(s, diag, off)] if n_blocks == 1 else iter_band_columns(params, p)
+    for s, diag, off in blocks:
+        # +inf on the padded diagonal makes the padded pivots +inf (the
+        # padded off-diagonal is 0), so they do not count.
+        diag[s[:, np.newaxis] > p] = np.inf
+        for d, e in zip(diag, off):
+            q = d - y if q is None else (d - e2 / q) - y
+            q = np.where(np.abs(q) < pivmin, -pivmin, q)
+            reaching |= q <= 0
+            e2 = e * e
+    return p[reaching].tolist()
 
 
 def solve_ground(
@@ -155,11 +211,16 @@ def solve_ground(
 ) -> GroundSolve:
     """Locate the ground sector P* and solve it and its neighbor.
 
-    Finds the lowest eigenvalue of every sector P = 0..p_max by
-    bisection, picks the sector with the lowest one (ties within 1e-12
-    go to the smaller P), and widens the range until P* <= p_max - 2.
-    Only sectors P* and P*+1 get the full certified decomposition, and
-    their certified ground energies must match the bisection values.
+    P* is the sector of 0..p_max with the lowest ground energy (ties
+    within 1e-12 go to the smaller P); the range is widened until
+    P* <= p_max - 2.  The lowest eigenvalue of a sector is found by
+    bisection, but only for the sectors that can matter: one sector near
+    the condensate occupation, ceil(lambda_+^2 - 1/2), is bisected first,
+    and a Sturm count over all sectors then proves which ones may lie
+    within the tie window of that energy.  Only those, and P*+1, are
+    bisected, so P* is the one an exhaustive bisection would pick.  Only
+    sectors P* and P*+1 get the full certified decomposition, and their
+    certified ground energies must match the bisection values.
 
     Raises
     ------
@@ -170,12 +231,16 @@ def solve_ground(
         bisection value by more than tol * max(1, max |E|) of the sector.
     """
     p_max_eff = default_p_max(params, params.g) if p_max is None else p_max
-    e0: list[float] = []
+    guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
+    e0: dict[int, float] = {}
     for _ in range(_P_MAX_RETRIES):
-        e0 += _lowest_energies(params, range(len(e0), p_max_eff + 1))
-        e_min = min(e0)
-        p_star = next(p for p, e in enumerate(e0) if e <= e_min + 1e-12)
+        _bisect_lowest(params, [min(guess, p_max_eff)], e0)
+        x = min(e0.values()) + _TIE_WINDOW
+        _bisect_lowest(params, _sectors_reaching(params, range(p_max_eff + 1), x), e0)
+        e_min = min(e0.values())
+        p_star = min(p for p, e in e0.items() if e <= e_min + _TIE_WINDOW)
         if p_star <= p_max_eff - 2:
+            _bisect_lowest(params, [p_star + 1], e0)
             spec = solve_sector(params, p_star, tol=tol)
             spec_next = solve_sector(params, p_star + 1, tol=tol)
             for s in (spec, spec_next):
@@ -238,7 +303,16 @@ def solve_full(
     h = build_full_hamiltonian(params, n_max)
     even, odd = parity_blocks(params.n_atoms, n_max)
     idx = even if parity == 1 else odd
-    dec = eigen.eigh(h[np.ix_(idx, idx)], tol=tol)
+    n, s = np.divmod(idx, params.n_atoms + 1)
+    # The rotating term conserves n + s and the counter-rotating one n - s,
+    # and each coupling along these chains is nonzero; with both couplings
+    # present the parity block is irreducible.
+    if params.g_prime == 0:
+        conserved = n + s if params.g > 0 else idx
+    else:
+        conserved = n - s if params.g == 0 else None
+    blocks = None if conserved is None else _groups(conserved)
+    dec = eigen.eigh(h[np.ix_(idx, idx)], tol=tol, blocks=blocks)
     return FullSpectrum(
         parity=parity,
         basis=basis,
@@ -248,6 +322,14 @@ def solve_full(
         max_residual=dec.max_residual,
         ortho_defect=dec.ortho_defect,
     )
+
+
+def _groups(labels: np.ndarray) -> list[np.ndarray]:
+    """Positions of equal labels, each group ascending, groups ordered by
+    their first position."""
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return sorted(groups, key=lambda group: group[0])
 
 
 def auto_nmax(

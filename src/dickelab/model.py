@@ -33,6 +33,7 @@ __all__ = [
     "sector_dimension",
     "sector_bands",
     "iter_sector_bands",
+    "iter_band_columns",
     "build_sector_hamiltonian",
     "build_full_hamiltonian",
     "parity_blocks",
@@ -166,13 +167,13 @@ def sector_dimension(n_atoms: int, p: int) -> int:
     return min(p, n_atoms) + 1
 
 
-# Matrix elements per block of sectors evaluated together by iter_sector_bands.
+# Matrix elements per block of the (P, s) grid evaluated by _band_grid at once.
 _BAND_BLOCK = 2**16
 
 
-def iter_sector_bands(params: ModelParams, sectors):
-    """Yield the diagonal and off-diagonal of the tridiagonal Hamiltonian
-    of every sector P in the sequence ``sectors``, in order.
+def _band_grid(params: ModelParams, p, s) -> tuple[np.ndarray, np.ndarray]:
+    """Band elements H[s, s] and H[s, s+1] of the sector P, elementwise
+    over integer arrays ``p`` and ``s`` (0..N) broadcast against each other.
 
     Requires g' = 0; the counter-rotating term breaks the U(1) symmetry
     that defines the sectors.  Matrix elements follow a|n> = sqrt(n)|n-1>
@@ -182,9 +183,33 @@ def iter_sector_bands(params: ModelParams, sectors):
                     + lambda_z m (P-s)/j + u m^2/j
         H[s, s+1] = (g/sqrt(N)) sqrt((s+1)(N-s)) sqrt(P-s)
 
-    Sectors are evaluated together on one (P, s) grid with s = 0..N, in
-    blocks of about ``_BAND_BLOCK`` elements, so many small sectors cost
-    about as much as one and memory stays bounded.
+    Elements past a sector's dimension (s >= dim on the diagonal,
+    s >= dim - 1 off it) are padding; the off-diagonal padding is 0.
+    """
+    if params.g_prime != 0:
+        raise ValueError("excitation sectors exist only for g_prime = 0")
+    N = params.n_atoms
+    j = params.j
+    m = s - N / 2
+    n = p - s
+    diag = (
+        params.omega_a * n
+        + params.omega_b * m
+        + params.lambda_z * m * n / j
+        + params.u * m**2 / j
+    )
+    # P - s < 0 only past a sector's dimension, where the padding is 0
+    off = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s)) * np.sqrt(np.maximum(n, 0))
+    return diag, off
+
+
+def iter_sector_bands(params: ModelParams, sectors):
+    """Yield the diagonal and off-diagonal of the tridiagonal Hamiltonian
+    of every sector P in the sequence ``sectors``, in order.
+
+    Sectors are evaluated together on one (P, s) grid with s = 0..N by
+    ``_band_grid``, in blocks of about ``_BAND_BLOCK`` elements, so many
+    small sectors cost about as much as one and memory stays bounded.
 
     Yields
     ------
@@ -192,29 +217,40 @@ def iter_sector_bands(params: ModelParams, sectors):
         ``(diag, offdiag)`` of lengths dim and dim - 1 over
         ``SectorBasis(P, params.n_atoms)``.
     """
-    if params.g_prime != 0:
-        raise ValueError("excitation sectors exist only for g_prime = 0")
     N = params.n_atoms
-    j = params.j
     s = np.arange(N + 1)
-    m = s - N / 2
-    sl = s[:-1]
     labels = np.asarray(sectors, dtype=int)
     block = max(1, _BAND_BLOCK // (N + 1))
     for start in range(0, labels.size, block):
         p = labels[start : start + block]
-        n = p[:, np.newaxis] - s
-        diag = (
-            params.omega_a * n
-            + params.omega_b * m
-            + params.lambda_z * m * n / j
-            + params.u * m**2 / j
-        )
-        with np.errstate(invalid="ignore"):  # P - s < 0 only past a sector's dimension
-            off = (params.g / math.sqrt(N)) * np.sqrt((sl + 1) * (N - sl)) * np.sqrt(n[:, :-1])
+        diag, off = _band_grid(params, p[:, np.newaxis], s)
         for q, d, e in zip(p.tolist(), diag, off):
             dim = SectorBasis(p=q, n_atoms=N).dim
             yield d[:dim], e[: dim - 1]
+
+
+def iter_band_columns(params: ModelParams, sectors):
+    """Yield the bands of all sectors in ``sectors`` together, one row per
+    basis label s, in blocks of consecutive s covering 0..N, each block of
+    about ``_BAND_BLOCK`` elements.
+
+    This is the order of a Sturm count, which runs along s and can run
+    over all sectors at once.
+
+    Yields
+    ------
+    (numpy.ndarray, numpy.ndarray, numpy.ndarray)
+        ``(s, diag, offdiag)``: the block's basis labels and arrays of
+        shape (len(s), len(sectors)) whose element [i, k] is H[s_i, s_i]
+        or H[s_i, s_i + 1] of sector ``sectors[k]``, padded past each
+        sector's dimension as in ``_band_grid``.
+    """
+    p = np.asarray(sectors, dtype=int)
+    N = params.n_atoms
+    width = max(1, _BAND_BLOCK // max(p.size, 1))
+    for start in range(0, N + 1, width):
+        s = np.arange(start, min(start + width, N + 1))
+        yield (s, *_band_grid(params, p, s[:, np.newaxis]))
 
 
 def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:

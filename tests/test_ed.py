@@ -1,6 +1,9 @@
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from dickelab import ed, model
 from dickelab.ed import auto_nmax, default_p_max, ground_state_scan, solve_full, solve_ground, solve_sector
@@ -9,11 +12,13 @@ from dickelab.model import (
     FullBasis,
     ModelParams,
     build_sector_hamiltonian,
+    iter_band_columns,
     iter_sector_bands,
     photon_annihilation,
     sector_bands,
 )
 from dickelab.observables import (
+    anomalous_weight,
     mean_photon_number,
     number_correlation,
     photon_correlation,
@@ -156,6 +161,46 @@ def test_solve_full_validates_arguments():
         solve_full(params, 0, 1)
 
 
+def test_solve_sector_at_zero_coupling_returns_the_basis():
+    # on resonance at g = 0 every diagonal entry of a sector is equal; each
+    # basis state is declared its own block, so the eigenvectors are the
+    # identity, bit for bit
+    params = ModelParams(omega_a=1, omega_b=1, g=0.0, n_atoms=4)
+    for p in (0, 2, 4, 7):
+        spec = solve_sector(params, p)
+        assert np.all(spec.energies == p - 2.0)
+        assert np.array_equal(spec.amplitudes, np.eye(spec.basis.dim))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_solve_full_without_crw_keeps_exact_zeros_across_sectors(n_atoms):
+    params = ModelParams(omega_a=1, omega_b=1, g=1.3, n_atoms=n_atoms)
+    even, odd = solve_full(params, 12, 1), solve_full(params, 12, -1)
+    for spec in (even, odd):
+        n, s = np.divmod(spec.indices, n_atoms + 1)
+        for col in range(spec.energies.size):
+            support = np.flatnonzero(spec.amplitudes[:, col])
+            assert np.unique((n + s)[support]).size == 1
+    assert anomalous_weight(even, odd) == 0.0
+
+
+def test_solve_full_matches_the_reference_decomposition():
+    # recorded from eigen.eigh when it found the blocks itself by a
+    # connected-components search of the matrix; the declared blocks must
+    # reproduce it byte for byte
+    # g'/g in {0, 0.05, 0.3} at g = 1.3, then g = 0 < g' and g = g' = 0
+    reference = np.load(Path(__file__).parent / "data" / "solve_full_reference.npz")
+    cases = [(1.3, r * 1.3, f"r{r}") for r in (0.0, 0.05, 0.3)] + [(0.0, 0.4, "g0"), (0.0, 0.0, "g0_gp0")]
+    for n_atoms in (1, 2, 3):
+        for g, g_prime, tag in cases:
+            params = ModelParams(g=g, g_prime=g_prime, n_atoms=n_atoms)
+            for parity, name in ((1, "even"), (-1, "odd")):
+                spec = solve_full(params, 7, parity)
+                key = f"N{n_atoms}_{tag}_{name}"
+                assert spec.energies.tobytes() == reference[key + "_energies"].tobytes()
+                assert spec.amplitudes.tobytes() == reference[key + "_amplitudes"].tobytes()
+
+
 def test_landau_level_separation_deep_superradiant():
     params = ModelParams(omega_a=1, omega_b=1, g=3.0, n_atoms=5)
     point = solve_ground(params).point
@@ -232,6 +277,60 @@ def test_solve_ground_matches_full_solve_of_every_sector(template):
         assert got == _ground_from_every_sector(params, default_p_max(params, params.g))
 
 
+def _exhaustive_p_star(params, p_max):
+    """Reference: bisect every sector 0..p_max, ties within 1e-12 going to
+    the smaller P."""
+    e0 = {}
+    ed._bisect_lowest(params, range(p_max + 1), e0)
+    e_min = min(e0.values())
+    return min(p for p, e in e0.items() if e <= e_min + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "template",
+    EQUIVALENCE_TEMPLATES,
+    ids=["N1", "N2", "N3", "N5", "N8", "N3-detuned", "N4-lambda_z", "N4-u", "N3-lambda_z-u"],
+)
+def test_screened_search_matches_exhaustive_bisection(template):
+    # 65 couplings per template in steps of 0.05 g_c, so g = 0 and the
+    # N = 3 tie at g_c are included
+    gc = critical_coupling(template)
+    for ratio in np.linspace(0, 3.2, 65).tolist():
+        params = replace(template, g=ratio * gc)
+        p_max = default_p_max(params, params.g)
+        assert solve_ground(params).point.p_star == _exhaustive_p_star(params, p_max)
+
+
+@pytest.mark.parametrize("lambda_z", [0.9, -0.9])
+def test_screened_search_survives_a_poor_first_guess(lambda_z):
+    # the saddle point ignores lambda_z, so the first bisected sector
+    # ceil(lambda_+^2 - 1/2) is far from P*
+    template = ModelParams(lambda_z=lambda_z, n_atoms=6)
+    params = replace(template, g=3 * critical_coupling(template))
+    guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
+    p_star = solve_ground(params).point.p_star
+    assert abs(p_star - guess) >= 7
+    assert p_star == _exhaustive_p_star(params, default_p_max(params, params.g))
+
+
+def test_screened_search_keeps_a_tied_sector_below_the_first_guess():
+    # at the 6 -> 7 jump of the N = 5 staircase the first bisected sector
+    # is 7; at the last coupling with P* = 6, E0(6) lies within the 1e-12
+    # tie window above E0(7), and the screen must keep sector 6
+    template = ModelParams(n_atoms=5)
+    p_max = default_p_max(template, 2.1)
+    lo, hi = 1.9, 2.1
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if _exhaustive_p_star(replace(template, g=mid), p_max) == 6:
+            lo = mid
+        else:
+            hi = mid
+    params = replace(template, g=lo)
+    assert math.ceil(saddle_point(params).lambda_plus_sq - 0.5) == 7
+    assert solve_ground(params, p_max=p_max).point.p_star == 6
+
+
 def test_solve_ground_widens_a_short_sector_range():
     params = ModelParams(omega_a=1, omega_b=1, g=3.0, n_atoms=3)
     full = solve_ground(params).point
@@ -256,6 +355,13 @@ def test_sector_bands_do_not_depend_on_blocking(monkeypatch):
         d2, e2 = sector_bands(params, p)
         assert np.array_equal(d1, d2) and np.array_equal(e1, e2)
     assert [len(d) for d, _ in iter_sector_bands(params, range(0, 7))] == [1, 2, 3, 4, 5, 5, 5]
+    # column blocks of the Sturm count: one column per block here
+    columns = list(iter_band_columns(params, range(3, 40)))
+    assert [s.tolist() for s, _, _ in columns] == [[k] for k in range(5)]
+    diag = np.vstack([d for _, d, _ in columns])
+    off = np.vstack([e for _, _, e in columns])
+    for k, (d1, e1) in enumerate(one_block):
+        assert np.array_equal(diag[: d1.size, k], d1) and np.array_equal(off[: e1.size, k], e1)
 
 
 def test_solve_ground_rejects_bisection_mismatch(monkeypatch):
@@ -268,6 +374,29 @@ def test_solve_ground_rejects_bisection_mismatch(monkeypatch):
     monkeypatch.setattr(ed, "dstebz", shifted)
     with pytest.raises(EigenError, match="bisection"):
         solve_ground(ModelParams(omega_a=1, omega_b=1, g=2.0, n_atoms=3))
+
+
+@pytest.mark.parametrize(
+    "template, ratio, p_star",
+    [
+        (ModelParams(n_atoms=200), 2.0, 263),  # 956 sectors searched
+        # detuned and weak: the padding of sectors P < N would count if it
+        # were not masked
+        (ModelParams(omega_a=4.0, omega_b=0.25, n_atoms=20), 0.5, 0),
+    ],
+    ids=["N200", "N20-detuned-weak"],
+)
+def test_screen_bisects_a_handful_of_sectors(monkeypatch, template, ratio, p_star):
+    bisected = []
+    real = ed._bisect_lowest
+
+    def recording(params, sectors, e0):
+        bisected.extend(p for p in sectors if p not in e0)
+        real(params, sectors, e0)
+
+    monkeypatch.setattr(ed, "_bisect_lowest", recording)
+    assert solve_ground(replace(template, g=ratio * critical_coupling(template))).point.p_star == p_star
+    assert {p_star, p_star + 1} <= set(bisected) and len(bisected) <= 4
 
 
 def test_solve_ground_large_n_is_certified():

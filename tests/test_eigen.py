@@ -83,15 +83,20 @@ def test_shift_invariance():
     assert np.abs(shifted - (base + c)).max() <= 1e-10
 
 
-def test_block_structure_gives_exact_zero_support():
-    # two decoupled blocks: eigenvectors must vanish exactly off-block
+def _two_block_matrix():
     m = np.zeros((5, 5))
     m[0, 0], m[2, 2], m[4, 4] = 1.0, -2.0, 0.5
     m[0, 2] = m[2, 0] = 0.7
     m[0, 4] = m[4, 0] = 0.3
     m[1, 1], m[3, 3] = 4.0, 6.0
     m[1, 3] = m[3, 1] = 1.1
-    d = eigh(m)
+    return m
+
+
+def test_block_structure_gives_exact_zero_support():
+    # two declared decoupled blocks: eigenvectors must vanish exactly off-block
+    m = _two_block_matrix()
+    d = eigh(m, blocks=[[0, 2, 4], [1, 3]])
     block_a = {0, 2, 4}
     for col in range(5):
         support = set(np.nonzero(d.eigenvectors[:, col])[0].tolist())
@@ -113,20 +118,39 @@ def test_random_block_structure_support_and_spectrum(data, n_blocks):
     block_of = np.empty(total, dtype=int)
     start = 0
     expected = []
+    blocks = []
     for b, size in enumerate(sizes):
         idx = perm[start : start + size]
         block_of[idx] = b
+        blocks.append(idx)
         sub = rng.standard_normal((size, size))
         sub = (sub + sub.T) / 2
         sub[np.abs(sub) < 0.05] = 0.3  # keep blocks internally connected
         m[np.ix_(idx, idx)] = sub
         expected.append(np.linalg.eigvalsh(m[np.ix_(idx, idx)]))
         start += size
-    d = eigh(m)
+    d = eigh(m, blocks=blocks)
     assert np.allclose(d.eigenvalues, np.sort(np.concatenate(expected)), atol=1e-10)
     for col in range(total):
         support = np.nonzero(d.eigenvectors[:, col])[0]
         assert len(set(block_of[support])) <= 1
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[[0, 2, 4], [1]], [[0, 2, 4], [1, 3, 3]], [[0, 2, 4], [1, 3, 5]], [[0, 1, 2, 3, 4], [2]]],
+    ids=["row-missing", "row-repeated", "row-out-of-range", "overlap"],
+)
+def test_blocks_must_partition_the_rows(blocks):
+    with pytest.raises(ValueError, match="partition"):
+        eigh(_two_block_matrix(), blocks=blocks)
+
+
+def test_wrongly_declared_blocks_fail_certification():
+    # a valid partition that cuts the nonzero couplings 0-2 and 0-4: the
+    # residual against the whole matrix exposes it
+    with pytest.raises(EigenError, match="residual"):
+        eigh(_two_block_matrix(), blocks=[[0, 1, 3], [2, 4]])
 
 
 def test_convergence_failure_is_signalled():
