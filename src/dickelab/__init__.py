@@ -18,7 +18,6 @@ from .model import (
     build_sector_hamiltonian,
     parity_blocks,
     photon_annihilation,
-    sector_dimension,
     total_excitation_operator,
 )
 from .eigen import EigenDecomposition, EigenError, eigh, orthonormality_defect, residual

@@ -7,12 +7,10 @@ error.
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .oracle import oracle_check
 from .scan import ConfigError, compare_report, load_rows, parse_config, run_scan
-from .theory import critical_coupling
 
 ORACLE_TOL = 1e-10
 ORACLE_NMAX = 6
@@ -68,16 +66,13 @@ def _cmd_oracle(args) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if config.model.n_atoms > 3:
-        print("the brute-force oracle cross-check requires n_atoms <= 3", file=sys.stderr)
-        return 2
-    gc = critical_coupling(config.model)
     worst = 0.0
     for ratio in config.g_over_gc:
-        g = ratio * gc
-        g_prime = config.model.g_prime if config.gprime_over_g is None else config.gprime_over_g * g
-        params = replace(config.model, g=g, g_prime=g_prime)
-        report = oracle_check(params, ORACLE_NMAX)
+        try:
+            report = oracle_check(config.params_at(ratio), ORACLE_NMAX)
+        except ValueError as exc:
+            print(f"oracle cross-check not possible: {exc}", file=sys.stderr)
+            return 2
         worst = max(worst, report.max_spectrum_deviation)
         print(f"g/g_c={ratio:g}  max spectrum deviation = {report.max_spectrum_deviation:.3e}")
     ok = worst <= ORACLE_TOL

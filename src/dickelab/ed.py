@@ -52,6 +52,9 @@ __all__ = [
 
 DEFAULT_EIGEN_TOL = 1e-8
 NMAX_CAP = 4096
+# auto_nmax: the first Fock truncation it tries, and its convergence step.
+_NMAX_FLOOR = 8
+_NMAX_STEP = 10
 _P_MAX_RETRIES = 6
 # Bisection to full relative accuracy: LAPACK recommends 2 * safe minimum.
 _BISECTION_ABSTOL = 2 * np.finfo(float).tiny
@@ -332,25 +335,19 @@ def _groups(labels: np.ndarray) -> list[np.ndarray]:
     return sorted(groups, key=lambda group: group[0])
 
 
-def auto_nmax(
-    params: ModelParams,
-    parity: int,
-    tol: float = 1e-8,
-    floor: int = 8,
-    step: int = 10,
-) -> int:
+def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
     """Smallest Fock truncation with converged low-lying energies.
 
-    Doubles n_max from ``floor`` until the lowest three energies of the
-    requested parity block move by less than ``tol`` when n_max grows by
-    ``step``, then bisects down to the smallest such n_max.
+    Doubles n_max from ``_NMAX_FLOOR`` until the lowest three energies of
+    the requested parity block move by less than ``tol`` when n_max grows
+    by ``_NMAX_STEP``, then bisects down to the smallest such n_max.
 
     Raises
     ------
     RuntimeError
         If no converged truncation exists below ``NMAX_CAP``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     lowest_cache: dict[int, np.ndarray] = {}
 
@@ -360,14 +357,14 @@ def auto_nmax(
         return lowest_cache[n]
 
     def converged(n: int) -> bool:
-        a, b = lowest(n), lowest(n + step)
+        a, b = lowest(n), lowest(n + _NMAX_STEP)
         k = min(a.size, b.size)
         return bool(np.abs(a[:k] - b[:k]).max() < tol)
 
-    if converged(floor):
-        return floor
-    lo = floor
-    hi = 2 * floor
+    if converged(_NMAX_FLOOR):
+        return _NMAX_FLOOR
+    lo = _NMAX_FLOOR
+    hi = 2 * _NMAX_FLOOR
     while not converged(hi):
         lo = hi
         hi *= 2

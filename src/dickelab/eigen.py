@@ -91,7 +91,7 @@ def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
         LAPACK failed to converge, or the recomputed residual or the
         orthonormality defect exceeds its bound.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     m = np.asarray(m, dtype=float)
     scale = _check_symmetric(m)

@@ -30,7 +30,6 @@ __all__ = [
     "ModelParams",
     "SectorBasis",
     "FullBasis",
-    "sector_dimension",
     "sector_bands",
     "iter_sector_bands",
     "iter_band_columns",
@@ -156,15 +155,6 @@ class FullBasis:
         """Parity (+1 or -1) of every basis state, in index order."""
         n, s = np.divmod(np.arange(self.dim), self.n_atoms + 1)
         return np.where((n + s) % 2 == 0, 1, -1)
-
-
-def sector_dimension(n_atoms: int, p: int) -> int:
-    """Dimension min(P, N) + 1 of the excitation sector P."""
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
-    if p < 0:
-        raise ValueError(f"sector label P must be >= 0, got {p}")
-    return min(p, n_atoms) + 1
 
 
 # Matrix elements per block of the (P, s) grid evaluated by _band_grid at once.

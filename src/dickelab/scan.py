@@ -1,19 +1,20 @@
 """Batch sweep driver: run ED and analytic pipelines over a coupling
 grid and emit figure-ready comparison tables.
 
-A run is described by a single JSON config (see ``parse_config``).  Each
-grid point is independent; points execute on a bounded worker pool and
-results are assembled in grid order, so re-running an identical config
-byte-reproduces every data file.  One file per requested quantity is
-written with the columns (quantity, g, g_over_gc, p_star, ed_value,
-analytic_value, rel_deviation, near_qcp), plus a manifest recording the
-full parameters, grid, tolerances and code version.
+A run is described by a single JSON config (see ``parse_config``).  Grid
+points are solved one after another in grid order, so re-running an
+identical config byte-reproduces every data file.  One file per
+requested quantity is written with the columns (quantity, g, g_over_gc,
+p_star, ed_value, analytic_value, rel_deviation, near_qcp), plus a
+manifest recording the full parameters, grid, tolerances and code
+version.
 """
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,7 +40,6 @@ __all__ = [
     "run_scan",
     "load_rows",
     "compare_report",
-    "worker_count",
 ]
 
 SCHEMA_VERSION = 1
@@ -64,10 +64,10 @@ DEFAULT_THRESHOLDS = {
     "mandel": 0.08,
 }
 
-_CSV_COLUMNS = [
+_COLUMNS = (
     "quantity", "g", "g_over_gc", "p_star",
     "ed_value", "analytic_value", "rel_deviation", "near_qcp",
-]
+)
 
 
 class ConfigError(ValueError):
@@ -88,7 +88,13 @@ class ScanConfig:
     gprime_over_g: float | None = None
     eigen_tol: float = DEFAULT_EIGEN_TOL
     truncation_tol: float = 1e-8
-    workers: int | None = None
+
+    def params_at(self, ratio: float) -> ModelParams:
+        """Model parameters at the grid point g/g_c = ratio; g' is
+        ``gprime_over_g * g`` when that is set, else the template's."""
+        g = ratio * critical_coupling(self.model)
+        g_prime = self.model.g_prime if self.gprime_over_g is None else self.gprime_over_g * g
+        return replace(self.model, g=g, g_prime=g_prime)
 
 
 @dataclass(frozen=True)
@@ -127,8 +133,25 @@ class CompareReport:
     passed: bool
 
 
+def _number(errors: list[str], value, low: float, message: str, inclusive=False, kind=numbers.Real):
+    """``value`` as a float if it is a finite, non-bool ``kind`` above
+    ``low`` (or equal to it when ``inclusive``); otherwise None, with
+    ``message`` and the value appended to ``errors``."""
+    if (
+        isinstance(value, kind)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value >= low if inclusive else value > low)
+    ):
+        return float(value)
+    errors.append(f"{message}, got {value!r}")
+    return None
+
+
 def parse_config(source) -> ScanConfig:
     """Build a ScanConfig from a JSON file path or an already-loaded dict.
+
+    The schema-1 key ``workers`` is accepted and ignored.
 
     Raises
     ------
@@ -164,34 +187,27 @@ def parse_config(source) -> ScanConfig:
             errors.append("'model.g' is not allowed; the coupling comes from the grid")
         try:
             model = ModelParams(**{k: v for k, v in model_raw.items() if k != "g"})
+            critical_coupling(model)  # the grid is in units of g_c
         except (TypeError, ValueError) as exc:
             errors.append(f"invalid model parameters: {exc}")
 
-    grid: tuple[float, ...] = ()
+    grid: tuple[float | None, ...] = ()
     grid_raw = raw.get("grid")
+    positive = "grid g/g_c values must be positive finite numbers"
     if isinstance(grid_raw, dict):
-        missing = {"start", "stop", "count"} - set(grid_raw)
-        extra = set(grid_raw) - {"start", "stop", "count"}
-        if missing or extra:
+        if set(grid_raw) != {"start", "stop", "count"}:
             errors.append(f"grid range spec needs exactly start/stop/count, got {sorted(grid_raw)}")
         else:
-            try:
-                count = int(grid_raw["count"])
-                if count < 2:
-                    errors.append(f"grid count must be >= 2, got {count}")
-                else:
-                    grid = tuple(np.linspace(float(grid_raw["start"]), float(grid_raw["stop"]), count))
-            except (TypeError, ValueError):
-                errors.append("grid start/stop/count must be numeric")
+            start = _number(errors, grid_raw["start"], 0, positive)
+            stop = _number(errors, grid_raw["stop"], 0, positive)
+            count = _number(errors, grid_raw["count"], 2, "grid count must be an integer >= 2",
+                            inclusive=True, kind=numbers.Integral)
+            if None not in (start, stop, count):
+                grid = tuple(np.linspace(start, stop, int(count)))
     elif isinstance(grid_raw, list) and grid_raw:
-        try:
-            grid = tuple(float(x) for x in grid_raw)
-        except (TypeError, ValueError):
-            errors.append("grid list entries must be numeric")
+        grid = tuple(_number(errors, x, 0, positive) for x in grid_raw)
     else:
         errors.append("'grid' must be a non-empty list or a {start, stop, count} object")
-    if grid and any(x <= 0 for x in grid):
-        errors.append("grid g/g_c values must be positive")
 
     quantities_raw = raw.get("quantities")
     quantities: tuple[str, ...] = ()
@@ -218,29 +234,19 @@ def parse_config(source) -> ScanConfig:
 
     gprime_over_g = raw.get("gprime_over_g")
     if gprime_over_g is not None:
-        if not isinstance(gprime_over_g, (int, float)) or gprime_over_g < 0:
-            errors.append(f"gprime_over_g must be a number >= 0, got {gprime_over_g!r}")
+        gprime_over_g = _number(errors, gprime_over_g, 0, "gprime_over_g must be a finite number >= 0",
+                                inclusive=True)
 
-    eigen_tol = DEFAULT_EIGEN_TOL
-    trunc_tol = 1e-8
-    tols = raw.get("tolerances", {})
-    if not isinstance(tols, dict):
+    tols = {"eigen": DEFAULT_EIGEN_TOL, "truncation": 1e-8}
+    tols_raw = raw.get("tolerances", {})
+    if not isinstance(tols_raw, dict):
         errors.append("'tolerances' must be an object")
     else:
-        for key in sorted(set(tols) - {"eigen", "truncation"}):
+        for key in sorted(set(tols_raw) - set(tols)):
             errors.append(f"unknown tolerance '{key}'")
-        for key, target in (("eigen", "eigen_tol"), ("truncation", "trunc_tol")):
-            if key in tols:
-                if not isinstance(tols[key], (int, float)) or tols[key] <= 0:
-                    errors.append(f"tolerance '{key}' must be a positive number")
-                elif key == "eigen":
-                    eigen_tol = float(tols[key])
-                else:
-                    trunc_tol = float(tols[key])
-
-    workers = raw.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        errors.append(f"workers must be an integer >= 1, got {workers!r}")
+        for key in tols:
+            if key in tols_raw:
+                tols[key] = _number(errors, tols_raw[key], 0, f"tolerance '{key}' must be a positive finite number")
 
     if model is not None and quantities:
         sector_based = set(quantities) - {"anomalous"}
@@ -259,20 +265,10 @@ def parse_config(source) -> ScanConfig:
         quantities=quantities,
         output_dir=Path(raw["output_dir"]),
         formats=formats,
-        gprime_over_g=None if gprime_over_g is None else float(gprime_over_g),
-        eigen_tol=eigen_tol,
-        truncation_tol=trunc_tol,
-        workers=workers,
+        gprime_over_g=gprime_over_g,
+        eigen_tol=tols["eigen"],
+        truncation_tol=tols["truncation"],
     )
-
-
-def worker_count(config: ScanConfig) -> int:
-    """Bounded pool size: config value or CPU count, capped by DICKE_LAB_THREADS."""
-    limit = config.workers if config.workers is not None else (os.cpu_count() or 1)
-    env = os.environ.get("DICKE_LAB_THREADS")
-    if env and env.isdigit() and int(env) >= 1:
-        limit = min(limit, int(env))
-    return max(1, min(limit, len(config.g_over_gc)))
 
 
 def _rel_dev(ed, analytic):
@@ -281,135 +277,126 @@ def _rel_dev(ed, analytic):
     return abs(ed - analytic) / max(abs(analytic), REL_DEV_FLOOR)
 
 
-def _point_rows(config: ScanConfig, gc: float, ratio: float) -> list[ComparisonRow]:
-    g = ratio * gc
-    g_prime = config.model.g_prime if config.gprime_over_g is None else config.gprime_over_g * g
-    params = replace(config.model, g=g, g_prime=g_prime)
-    sp = saddle_point(params)
-    theory = effective_theory(params) if sp.superradiant else None
-    preds = predictions(params) if sp.superradiant else None
+# What the row builders read at one grid point: gs is None when no sector
+# quantity is requested, theory and preds are None in the normal phase.
+_Point = namedtuple("_Point", "config params gs theory preds")
 
+
+def _weight_rows(pt: _Point) -> list[tuple]:
+    photon = photon_correlation(pt.gs.spectrum, pt.gs.spectrum_next)
+    by_role = {line.role: line.weight for line in photon.lines}
+    number = number_correlation(pt.gs.spectrum).lines if pt.gs.point.p_star > 0 else []
+    c_h = {line.role: line.weight for line in number}.get("higgs")
+    return [
+        ("c_g", by_role.get("goldstone"), getattr(pt.preds, "c_goldstone", None), None),
+        ("c_o", by_role.get("optical"), getattr(pt.preds, "c_optical", None), None),
+        ("c_h", c_h, getattr(pt.preds, "c_higgs", None), None),
+    ]
+
+
+def _anomalous_rows(pt: _Point) -> list[tuple]:
+    n_max = max(auto_nmax(pt.params, parity, tol=pt.config.truncation_tol) for parity in (1, -1))
+    blocks = [solve_full(pt.params, n_max, parity, tol=pt.config.eigen_tol) for parity in (1, -1)]
+    return [("anomalous", anomalous_weight(*blocks), None, None)]
+
+
+# Quantity -> its rows (name, ED value, analytic value, analytic envelope)
+# at one grid point.
+_ROW_BUILDERS = {
+    "spectrum": lambda pt: [
+        ("spectrum", float(pt.gs.point.p_star), float(pt.theory.p_nearest) if pt.theory else 0.0, None)
+    ],
+    "goldstone": lambda pt: [(
+        "goldstone", pt.gs.point.e_goldstone, getattr(pt.preds, "e_goldstone", None),
+        getattr(pt.theory, "d", None),
+    )],
+    "higgs": lambda pt: [("higgs", pt.gs.point.e_higgs, getattr(pt.preds, "e_higgs", None), None)],
+    "optical": lambda pt: [("optical", pt.gs.point.e_optical, getattr(pt.preds, "e_optical", None), None)],
+    "mandel": lambda pt: [(
+        "mandel", mandel_q(pt.gs.spectrum) if pt.gs.point.p_star > 0 else None,
+        getattr(pt.preds, "mandel_q", None), None,
+    )],
+    "weights": _weight_rows,
+    "anomalous": _anomalous_rows,
+}
+
+
+def _point_rows(config: ScanConfig, ratio: float) -> dict[str, list[ComparisonRow]]:
+    """Rows of every requested quantity at the grid point g/g_c = ratio."""
+    params = config.params_at(ratio)
+    superradiant = saddle_point(params).superradiant
     needs_sectors = bool(set(config.quantities) - {"anomalous"})
     gs = solve_ground(params, tol=config.eigen_tol) if needs_sectors else None
+    pt = _Point(
+        config, params, gs,
+        effective_theory(params) if superradiant else None,
+        predictions(params) if superradiant else None,
+    )
     p_star = gs.point.p_star if gs is not None else None
     near = p_star is not None and p_star < NEAR_QCP_P_STAR
-
-    def row(quantity, ed, analytic, envelope=None):
-        return ComparisonRow(
-            quantity=quantity, g=g, g_over_gc=ratio, p_star=p_star,
-            ed_value=ed, analytic_value=analytic,
-            rel_deviation=_rel_dev(ed, analytic), near_qcp=near, envelope=envelope,
-        )
-
-    rows = []
-    for quantity in config.quantities:
-        if quantity == "spectrum":
-            nearest = float(theory.p_nearest) if theory else 0.0
-            rows.append(row("spectrum", float(p_star), nearest))
-        elif quantity == "goldstone":
-            rows.append(row(
-                "goldstone", gs.point.e_goldstone,
-                preds.e_goldstone if preds else None,
-                envelope=theory.d if theory else None,
-            ))
-        elif quantity == "higgs":
-            rows.append(row("higgs", gs.point.e_higgs, preds.e_higgs if preds else None))
-        elif quantity == "optical":
-            rows.append(row("optical", gs.point.e_optical, preds.e_optical if preds else None))
-        elif quantity == "mandel":
-            ed = mandel_q(gs.spectrum) if p_star > 0 else None
-            rows.append(row("mandel", ed, preds.mandel_q if preds else None))
-        elif quantity == "weights":
-            photon = photon_correlation(gs.spectrum, gs.spectrum_next)
-            by_role = {line.role: line.weight for line in photon.lines}
-            rows.append(row("c_g", by_role.get("goldstone"), preds.c_goldstone if preds else None))
-            rows.append(row("c_o", by_role.get("optical"), preds.c_optical if preds else None))
-            c_h = None
-            if p_star > 0:
-                number = number_correlation(gs.spectrum)
-                c_h = {line.role: line.weight for line in number.lines}.get("higgs")
-            rows.append(row("c_h", c_h, preds.c_higgs if preds else None))
-        elif quantity == "anomalous":
-            n_max = max(
-                auto_nmax(params, parity, tol=config.truncation_tol) for parity in (1, -1)
-            )
-            weight = anomalous_weight(
-                solve_full(params, n_max, 1, tol=config.eigen_tol),
-                solve_full(params, n_max, -1, tol=config.eigen_tol),
-            )
-            rows.append(row("anomalous", weight, None))
-    return rows
+    return {
+        quantity: [
+            ComparisonRow(name, params.g, ratio, p_star, ed, analytic, _rel_dev(ed, analytic), near, envelope)
+            for name, ed, analytic, envelope in _ROW_BUILDERS[quantity](pt)
+        ]
+        for quantity in config.quantities
+    }
 
 
-def _format_value(value) -> str:
+def _table(quantity: str, rows: list[ComparisonRow]) -> tuple[tuple[str, ...], list[dict]]:
+    """Column names and one column -> value record per row of a quantity's
+    data file.  Only the goldstone file carries the analytic envelope; for
+    the others ``zip`` drops it."""
+    columns = _COLUMNS + (("analytic_envelope",) if quantity == "goldstone" else ())
+    records = [dict(zip(columns, (*(getattr(r, c) for c in _COLUMNS), r.envelope))) for r in rows]
+    return columns, records
+
+
+def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, (str, int)):  # quantity, p_star
+        return str(value)
     return repr(float(value))
 
 
-def _write_csv(path: Path, rows: list[ComparisonRow], with_envelope: bool) -> None:
-    columns = _CSV_COLUMNS + (["analytic_envelope"] if with_envelope else [])
+def _write_csv(path: Path, columns: tuple[str, ...], records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for r in rows:
-            record = [
-                r.quantity, _format_value(r.g), _format_value(r.g_over_gc),
-                "" if r.p_star is None else str(r.p_star),
-                _format_value(r.ed_value), _format_value(r.analytic_value),
-                _format_value(r.rel_deviation), _format_value(r.near_qcp),
-            ]
-            if with_envelope:
-                record.append(_format_value(r.envelope))
-            writer.writerow(record)
+        writer.writerows([_csv_cell(record[c]) for c in columns] for record in records)
 
 
-def _write_json(path: Path, rows: list[ComparisonRow], with_envelope: bool) -> None:
-    payload = []
-    for r in rows:
-        item = {
-            "quantity": r.quantity, "g": r.g, "g_over_gc": r.g_over_gc,
-            "p_star": r.p_star, "ed_value": r.ed_value,
-            "analytic_value": r.analytic_value, "rel_deviation": r.rel_deviation,
-            "near_qcp": r.near_qcp,
-        }
-        if with_envelope:
-            item["analytic_envelope"] = r.envelope
-        payload.append(item)
+def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def run_scan(config: ScanConfig) -> list[Path]:
     """Execute a sweep and write one data file per quantity plus a manifest.
 
-    Grid points run on a bounded thread pool (numpy releases the GIL in
-    the eigensolver); output row order always equals grid order.
+    Grid points are solved one after another; output row order is grid
+    order.
     """
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     gc = critical_coupling(config.model)
 
-    ratios = config.g_over_gc
-    with ThreadPoolExecutor(max_workers=worker_count(config)) as pool:
-        per_point = list(pool.map(lambda r: _point_rows(config, gc, r), ratios))
-
-    by_quantity: dict[str, list[ComparisonRow]] = {}
-    for rows in per_point:
-        for r in rows:
-            by_quantity.setdefault("weights" if r.quantity in ("c_g", "c_o", "c_h") else r.quantity, []).append(r)
+    by_quantity: dict[str, list[ComparisonRow]] = {q: [] for q in config.quantities}
+    for ratio in config.g_over_gc:
+        for quantity, rows in _point_rows(config, ratio).items():
+            by_quantity[quantity] += rows
 
     written: list[Path] = []
-    for quantity in config.quantities:
-        rows = by_quantity.get(quantity, [])
-        with_envelope = quantity == "goldstone"
+    for quantity, rows in by_quantity.items():
+        columns, records = _table(quantity, rows)
         for fmt in config.formats:
             path = out / f"{quantity}.{fmt}"
             if fmt == "csv":
-                _write_csv(path, rows, with_envelope)
+                _write_csv(path, columns, records)
             else:
-                _write_json(path, rows, with_envelope)
+                _write_json(path, records)
             written.append(path)
 
     manifest = {
@@ -421,18 +408,17 @@ def run_scan(config: ScanConfig) -> list[Path]:
             "u": config.model.u, "n_atoms": config.model.n_atoms,
         },
         "critical_coupling": gc,
-        "grid_g_over_gc": list(ratios),
-        "grid_g": [r * gc for r in ratios],
+        "grid_g_over_gc": list(config.g_over_gc),
+        "grid_g": [r * gc for r in config.g_over_gc],
         "gprime_over_g": config.gprime_over_g,
         "quantities": list(config.quantities),
         "formats": list(config.formats),
         "tolerances": {"eigen": config.eigen_tol, "truncation": config.truncation_tol},
-        "workers": config.workers,
         "files": sorted(p.name for p in written),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(manifest_path, manifest)
     written.append(manifest_path)
     return written
 

@@ -17,7 +17,7 @@ optical mode E_o = E_H + E_G; each carries a closed-form spectral weight.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import ModelParams
 
@@ -223,6 +223,4 @@ def goldstone_envelope(params_template: ModelParams, g: float) -> float:
     """
     if params_template.g_prime != 0:
         raise ValueError("the Goldstone envelope is a g_prime = 0 result")
-    from dataclasses import replace
-
     return effective_theory(replace(params_template, g=g)).d

@@ -212,6 +212,12 @@ def test_auto_nmax_floor_for_decoupled_system():
     assert auto_nmax(params, 1, tol=1e-8) == 8
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+def test_auto_nmax_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        auto_nmax(ModelParams(omega_a=1, omega_b=1, g=0.5, n_atoms=2), 1, tol=tol)
+
+
 def test_auto_nmax_regression_with_crw():
     params = ModelParams(omega_a=1, omega_b=1, g=2.0, g_prime=0.2, n_atoms=2)
     assert auto_nmax(params, 1, tol=1e-8) == 16

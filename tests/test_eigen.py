@@ -31,6 +31,8 @@ def test_rejects_non_symmetric_and_bad_inputs():
         eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         eigh(np.eye(2), tol=0.0)
+    with pytest.raises(ValueError):  # a NaN tolerance would switch certification off
+        eigh(np.eye(2), tol=np.nan)
 
 
 def test_residual_of_exact_diagonal_decomposition():

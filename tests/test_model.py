@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from dickelab.model import (
     FullBasis,
     ModelParams,
+    SectorBasis,
     build_full_hamiltonian,
     build_sector_hamiltonian,
     parity_blocks,
     photon_annihilation,
-    sector_dimension,
     total_excitation_operator,
 )
 
@@ -35,15 +35,15 @@ def test_params_validation():
     "n_atoms, p, expected",
     [(5, 3, 4), (3, 7, 4), (1, 0, 1), (4, 4, 5), (2, 100, 3)],
 )
-def test_sector_dimension(n_atoms, p, expected):
-    assert sector_dimension(n_atoms, p) == expected
+def test_sector_basis_dim(n_atoms, p, expected):
+    assert SectorBasis(p, n_atoms).dim == expected
 
 
-def test_sector_dimension_rejects_negative():
+def test_sector_basis_rejects_negative():
     with pytest.raises(ValueError):
-        sector_dimension(0, 3)
+        SectorBasis(3, 0)
     with pytest.raises(ValueError):
-        sector_dimension(2, -1)
+        SectorBasis(-1, 2)
 
 
 def test_sector_hamiltonian_two_atoms_one_excitation():

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +12,9 @@ from dickelab.scan import (
     load_rows,
     parse_config,
     run_scan,
-    worker_count,
 )
+
+SWEEP_N3 = Path(__file__).resolve().parents[1] / "demo_output" / "sweep_n3"
 
 
 def _config_dict(tmp_path, **overrides):
@@ -79,16 +81,55 @@ def test_parse_config_rejects_nonpositive_grid(tmp_path):
         parse_config(_config_dict(tmp_path, grid=[2.0, -1.0]))
 
 
-def test_worker_count_env_cap(tmp_path, monkeypatch):
-    config = parse_config(_config_dict(tmp_path))
-    monkeypatch.setenv("DICKE_LAB_THREADS", "1")
-    assert worker_count(config) == 1
-    # the env var caps even an explicit config value
-    explicit = parse_config(_config_dict(tmp_path, workers=3))
-    assert worker_count(explicit) == 1
-    monkeypatch.delenv("DICKE_LAB_THREADS")
-    assert worker_count(explicit) == 3
-    assert 1 <= worker_count(config) <= len(config.g_over_gc)
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param({"grid": [2.0, float("nan")]}, "grid g/g_c", id="nan-grid-entry"),
+        pytest.param({"grid": [2.0, float("inf")]}, "grid g/g_c", id="inf-grid-entry"),
+        pytest.param({"grid": {"start": 2.0, "stop": float("nan"), "count": 3}}, "grid g/g_c", id="nan-grid-stop"),
+        pytest.param({"grid": {"start": 2.0, "stop": 3.0, "count": True}}, "grid count", id="bool-count"),
+        pytest.param({"grid": {"start": 2.0, "stop": 3.0, "count": 2.5}}, "grid count", id="fractional-count"),
+        pytest.param({"gprime_over_g": True, "quantities": ["anomalous"]}, "gprime_over_g", id="bool-gprime"),
+        pytest.param({"gprime_over_g": float("nan"), "quantities": ["anomalous"]}, "gprime_over_g", id="nan-gprime"),
+        pytest.param({"tolerances": {"eigen": float("nan")}}, "tolerance 'eigen'", id="nan-eigen-tol"),
+        pytest.param({"tolerances": {"truncation": float("nan")}}, "tolerance 'truncation'", id="nan-truncation-tol"),
+        pytest.param({"tolerances": {"eigen": float("inf")}}, "tolerance 'eigen'", id="inf-eigen-tol"),
+        pytest.param({"tolerances": {"eigen": 0}}, "tolerance 'eigen'", id="zero-eigen-tol"),
+        pytest.param(
+            {"model": {"omega_a": 1.0, "omega_b": 1.0, "n_atoms": 3, "lambda_z": 1.5}},
+            "critical coupling", id="no-critical-coupling",
+        ),
+    ],
+)
+def test_parse_config_rejects_invalid_values(tmp_path, overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(_config_dict(tmp_path, **overrides))
+
+
+def test_parse_config_accepts_and_ignores_workers(tmp_path):
+    config = parse_config(_config_dict(tmp_path, workers=3))
+    assert config == parse_config(_config_dict(tmp_path))
+
+
+def test_run_scan_reproduces_the_demo_sweep_files(tmp_path):
+    # the config of demos/07_sweep_pipeline.py, which wrote demo_output/sweep_n3
+    config = parse_config({
+        "schema_version": 1,
+        "model": {"omega_a": 1.0, "omega_b": 1.0, "n_atoms": 3},
+        "grid": {"start": 2.0, "stop": 3.0, "count": 11},
+        "quantities": ["spectrum", "higgs", "mandel", "weights"],
+        "output_dir": str(tmp_path),
+        "formats": ["csv", "json"],
+    })
+    written = run_scan(config)
+    expected = sorted(p.name for p in SWEEP_N3.iterdir())
+    assert sorted(p.name for p in written) == expected
+    for name in expected:
+        if name != "manifest.json":
+            assert (tmp_path / name).read_bytes() == (SWEEP_N3 / name).read_bytes(), name
+    manifest, reference = (json.loads((d / "manifest.json").read_text()) for d in (tmp_path, SWEEP_N3))
+    manifest.pop("created_at"), reference.pop("created_at")
+    assert manifest == reference
 
 
 def test_run_scan_writes_expected_files(tmp_path):
