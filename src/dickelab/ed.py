@@ -9,12 +9,14 @@ gap E^{P*+1}_1 - E^{P*}_0.
 
 Every sector Hamiltonian is tridiagonal.  P* is chosen from the sectors'
 lowest eigenvalues, found by LAPACK Sturm-count bisection (``dstebz``) on
-the ``(diag, offdiag)`` bands.  One Sturm count over all sectors at once
-first proves which sectors can hold the minimum, so only those (usually
-one or two) are bisected; only P* and P*+1 are fully diagonalized and
-certified.  Every eigensolve declares the blocks its matrix is known to
-split into (a diagonal sector at g = 0, conserved n + s or n - s in a
-parity block), so eigenvectors keep exact zeros outside their block.
+the ``(diag, offdiag)`` bands.  A Gershgorin bound on the bands proves a
+last sector past which no ground energy can compete, and one Sturm count
+over the sectors up to it proves which ones can hold the minimum, so only
+those (usually one or two) are bisected; only P* and P*+1 are fully
+diagonalized and certified.  Every eigensolve declares the blocks its
+matrix is known to split into (a diagonal sector at g = 0, conserved
+n + s or n - s in a parity block), so eigenvectors keep exact zeros
+outside their block.
 """
 
 import math
@@ -31,8 +33,8 @@ from .model import (
     build_full_hamiltonian,
     build_sector_hamiltonian,
     iter_band_columns,
-    iter_sector_bands,
     parity_blocks,
+    sector_bands,
 )
 from .theory import saddle_point
 
@@ -55,7 +57,6 @@ NMAX_CAP = 4096
 # auto_nmax: the first Fock truncation it tries, and its convergence step.
 _NMAX_FLOOR = 8
 _NMAX_STEP = 10
-_P_MAX_RETRIES = 6
 # Bisection to full relative accuracy: LAPACK recommends 2 * safe minimum.
 _BISECTION_ABSTOL = 2 * np.finfo(float).tiny
 # Sectors whose ground energies differ by at most this are tied; P* is the
@@ -143,21 +144,13 @@ def solve_sector(params: ModelParams, p: int, tol: float = DEFAULT_EIGEN_TOL) ->
     )
 
 
-def default_p_max(params: ModelParams, g_max: float) -> int:
-    """Sector range covering the staircase up to coupling g_max.
-
-    The ground sector tracks the condensate occupation lambda_+^2, so
-    four times the photon part plus slack covers every jump.
-    """
-    sp = saddle_point(replace(params, g=g_max))
-    return math.ceil(4 * sp.lambda_a**2) + params.n_atoms + 4
-
-
 def _bisect_lowest(params: ModelParams, sectors, e0: dict[int, float]) -> None:
     """Add to ``e0`` the lowest eigenvalue of each sector not yet in it,
     by LAPACK Sturm-count bisection."""
-    todo = [p for p in sectors if p not in e0]
-    for p, (diag, off) in zip(todo, iter_sector_bands(params, todo)):
+    for p in sectors:
+        if p in e0:
+            continue
+        diag, off = sector_bands(params, p)
         if off.size == 0:  # sector P = 0; the dstebz wrapper rejects an empty off-diagonal
             e0[p] = float(diag[0])
             continue
@@ -209,89 +202,113 @@ def _sectors_reaching(params: ModelParams, sectors, x: float) -> list[int]:
     return p[reaching].tolist()
 
 
-def solve_ground(
-    params: ModelParams, p_max: int | None = None, tol: float = DEFAULT_EIGEN_TOL
-) -> GroundSolve:
+def _search_stop(params: ModelParams, x: float) -> int:
+    """A sector P_stop past which every sector's bisected lowest
+    eigenvalue lies above ``x``.
+
+    Row s of sector P (n = P - s photons, m = s - N/2) has the diagonal
+    a_s n + b_s, with a_s = omega_a + lambda_z m/j and b_s = omega_b m
+    + u m^2/j, and off-diagonals below C_s sqrt(n + 1), with C_s = k_{s-1}
+    + k_s, k_s = (g/sqrt(N)) sqrt((s+1)(N-s)), k_{-1} = 0.  Bisection may
+    undershoot the eigenvalue by kappa (max|d| + 2 max|e| + |x|), kappa =
+    _STURM_SLACK (N + 1) eps (see ``_sectors_reaching``); 2 kappa also
+    covers the rounding of the bands.  With t = sqrt(n + 1), A = omega_a
+    + |lambda_z|, B = (omega_b + |u|) N/2, K = max k_s, max|d| <= A P + B,
+    max|e| <= K sqrt(P), P <= t^2 + N and sqrt(P) <= t + sqrt(N),
+    Gershgorin's theorem puts the bisected value above ``x`` once every row
+    has
+
+        (a_s - 2 kappa A) t^2 - (C_s + 4 kappa K) t
+            - (x + a_s - b_s + 2 kappa (A N + B + 2 K sqrt(N) + |x|)) > 0,
+
+    i.e. t > T_s, the larger root, i.e. P > s + T_s^2 - 1.  P_stop =
+    floor((1 + 1e-6) max_s (s + T_s^2)) adds one sector and a relative 1e-6
+    for the O(sqrt(eps)) rounding of T_s^2.  Raises ValueError if some
+    a_s <= 2 kappa A: omega_a <= |lambda_z| makes H unbounded below.
+    """
+    N = params.n_atoms
+    s = np.arange(N + 1.0)
+    m = s - N / 2
+    a = params.omega_a + (params.lambda_z / params.j) * m
+    k = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s))
+    c = k + np.append(0.0, k[:-1])
+    kappa = 2 * _STURM_SLACK * (N + 1) * np.finfo(float).eps
+    big_a = params.omega_a + abs(params.lambda_z)
+    alpha = a - kappa * big_a
+    if not alpha.min() > 0:
+        raise ValueError(f"H is unbounded below: omega_a = {params.omega_a}, lambda_z = {params.lambda_z}")
+    norms = big_a * N + (params.omega_b + abs(params.u)) * N / 2 + 2 * k.max() * math.sqrt(N) + abs(x)
+    beta = c + 2 * kappa * k.max()
+    gamma = a - (params.omega_b + (params.u / params.j) * m) * m + (x + kappa * norms)
+    t = (beta + np.sqrt(np.maximum(beta * beta + 4 * alpha * gamma, 0.0))) / (2 * alpha)
+    return math.floor((s + t * t).max() * (1 + 1e-6))
+
+
+def solve_ground(params: ModelParams, tol: float = DEFAULT_EIGEN_TOL) -> GroundSolve:
     """Locate the ground sector P* and solve it and its neighbor.
 
-    P* is the sector of 0..p_max with the lowest ground energy (ties
-    within 1e-12 go to the smaller P); the range is widened until
-    P* <= p_max - 2.  The lowest eigenvalue of a sector is found by
+    P* is the sector with the lowest ground energy (ties within 1e-12 go
+    to the smaller P).  The lowest eigenvalue of a sector is found by
     bisection, but only for the sectors that can matter: one sector near
-    the condensate occupation, ceil(lambda_+^2 - 1/2), is bisected first,
-    and a Sturm count over all sectors then proves which ones may lie
-    within the tie window of that energy.  Only those, and P*+1, are
-    bisected, so P* is the one an exhaustive bisection would pick.  Only
-    sectors P* and P*+1 get the full certified decomposition, and their
-    certified ground energies must match the bisection values.
+    the condensate occupation, ceil(lambda_+^2 - 1/2), is bisected first;
+    a Gershgorin bound on the bands (``_search_stop``) then proves that no
+    sector past P_stop lies within the tie window of that energy, and a
+    Sturm count over 0..P_stop proves which of those may.  Only those, and
+    P*+1, are bisected, so P* is the one an exhaustive bisection of every
+    sector would pick.  Only sectors P* and P*+1 get the full certified
+    decomposition, and their certified ground energies must match the
+    bisection values.
 
     Raises
     ------
-    RuntimeError
-        If the sector range is still exhausted after retries.
+    ValueError
+        If omega_a <= |lambda_z|: H is then unbounded below and no sector
+        holds the ground state.
     EigenError
         If a certified ground energy of P* or P*+1 differs from its
         bisection value by more than tol * max(1, max |E|) of the sector.
     """
-    p_max_eff = default_p_max(params, params.g) if p_max is None else p_max
     guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
     e0: dict[int, float] = {}
-    for _ in range(_P_MAX_RETRIES):
-        _bisect_lowest(params, [min(guess, p_max_eff)], e0)
-        x = min(e0.values()) + _TIE_WINDOW
-        _bisect_lowest(params, _sectors_reaching(params, range(p_max_eff + 1), x), e0)
-        e_min = min(e0.values())
-        p_star = min(p for p, e in e0.items() if e <= e_min + _TIE_WINDOW)
-        if p_star <= p_max_eff - 2:
-            _bisect_lowest(params, [p_star + 1], e0)
-            spec = solve_sector(params, p_star, tol=tol)
-            spec_next = solve_sector(params, p_star + 1, tol=tol)
-            for s in (spec, spec_next):
-                if abs(s.energies[0] - e0[s.p]) > tol * max(1.0, np.abs(s.energies).max()):
-                    raise eigen.EigenError(
-                        f"sector P = {s.p}: certified ground energy {s.energies[0]!r} "
-                        f"differs from bisection {e0[s.p]!r}"
-                    )
-            point = GroundScanPoint(
-                g=params.g,
-                p_star=p_star,
-                ground_energy=float(spec.energies[0]),
-                e_goldstone=float(spec_next.energies[0] - spec.energies[0]),
-                e_higgs=(
-                    float(spec.energies[1] - spec.energies[0])
-                    if spec.basis.dim >= 2
-                    else None
-                ),
-                e_optical=float(spec_next.energies[1] - spec.energies[0]),
+    _bisect_lowest(params, [guess], e0)
+    x = e0[guess] + _TIE_WINDOW
+    _bisect_lowest(params, _sectors_reaching(params, range(_search_stop(params, x) + 1), x), e0)
+    e_min = min(e0.values())
+    p_star = min(p for p, e in e0.items() if e <= e_min + _TIE_WINDOW)
+    _bisect_lowest(params, [p_star + 1], e0)
+    spec = solve_sector(params, p_star, tol=tol)
+    spec_next = solve_sector(params, p_star + 1, tol=tol)
+    for s in (spec, spec_next):
+        if abs(s.energies[0] - e0[s.p]) > tol * max(1.0, np.abs(s.energies).max()):
+            raise eigen.EigenError(
+                f"sector P = {s.p}: certified ground energy {s.energies[0]!r} "
+                f"differs from bisection {e0[s.p]!r}"
             )
-            return GroundSolve(point=point, spectrum=spec, spectrum_next=spec_next)
-        p_max_eff = 2 * p_max_eff + 4
-    raise RuntimeError(
-        f"ground sector search exhausted p_max = {p_max_eff} after {_P_MAX_RETRIES} retries"
+    point = GroundScanPoint(
+        g=params.g,
+        p_star=p_star,
+        ground_energy=float(spec.energies[0]),
+        e_goldstone=float(spec_next.energies[0] - spec.energies[0]),
+        e_higgs=float(spec.energies[1] - spec.energies[0]) if spec.basis.dim >= 2 else None,
+        e_optical=float(spec_next.energies[1] - spec.energies[0]),
     )
+    return GroundSolve(point=point, spectrum=spec, spectrum_next=spec_next)
 
 
 def ground_state_scan(
-    params_template: ModelParams,
-    g_values,
-    p_max: int | None = None,
-    tol: float = DEFAULT_EIGEN_TOL,
+    params_template: ModelParams, g_values, tol: float = DEFAULT_EIGEN_TOL
 ) -> list[GroundScanPoint]:
     """Staircase scan over an ascending list of couplings.
 
     Results are in input order; each point is independent of the others.
+    Raises ValueError as ``solve_ground`` does.
     """
     g_values = np.asarray(g_values, dtype=float)
     if g_values.ndim != 1 or g_values.size == 0:
         raise ValueError("g_values must be a non-empty 1-d sequence")
     if np.any(np.diff(g_values) < 0):
         raise ValueError("g_values must be ascending")
-    if p_max is None:
-        p_max = default_p_max(params_template, float(g_values[-1]))
-    return [
-        solve_ground(replace(params_template, g=float(g)), p_max=p_max, tol=tol).point
-        for g in g_values
-    ]
+    return [solve_ground(replace(params_template, g=float(g)), tol=tol).point for g in g_values]
 
 
 def solve_full(

@@ -31,7 +31,6 @@ __all__ = [
     "SectorBasis",
     "FullBasis",
     "sector_bands",
-    "iter_sector_bands",
     "iter_band_columns",
     "build_sector_hamiltonian",
     "build_full_hamiltonian",
@@ -72,6 +71,11 @@ class ModelParams:
     n_atoms: int = 1
 
     def __post_init__(self):
+        # bool is an int subclass: True would pass as N = 1 or as 1.0
+        for name in ("omega_a", "omega_b", "g", "g_prime", "lambda_z", "u"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.omega_a > 0:
             raise ValueError(f"omega_a must be positive, got {self.omega_a}")
         if not self.omega_b > 0:
@@ -80,11 +84,9 @@ class ModelParams:
             raise ValueError(f"g must be non-negative, got {self.g}")
         if self.g_prime < 0:
             raise ValueError(f"g_prime must be non-negative, got {self.g_prime}")
-        if not isinstance(self.n_atoms, (int, np.integer)) or self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be an integer >= 1, got {self.n_atoms}")
-        for name in ("omega_a", "omega_b", "g", "g_prime", "lambda_z", "u"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        n = self.n_atoms
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_atoms must be an integer >= 1, got {n!r}")
 
     @property
     def j(self) -> float:
@@ -157,7 +159,8 @@ class FullBasis:
         return np.where((n + s) % 2 == 0, 1, -1)
 
 
-# Matrix elements per block of the (P, s) grid evaluated by _band_grid at once.
+# Matrix elements per block of the (s, P) grid that iter_band_columns
+# evaluates by _band_grid at once.
 _BAND_BLOCK = 2**16
 
 
@@ -193,32 +196,6 @@ def _band_grid(params: ModelParams, p, s) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-def iter_sector_bands(params: ModelParams, sectors):
-    """Yield the diagonal and off-diagonal of the tridiagonal Hamiltonian
-    of every sector P in the sequence ``sectors``, in order.
-
-    Sectors are evaluated together on one (P, s) grid with s = 0..N by
-    ``_band_grid``, in blocks of about ``_BAND_BLOCK`` elements, so many
-    small sectors cost about as much as one and memory stays bounded.
-
-    Yields
-    ------
-    (numpy.ndarray, numpy.ndarray)
-        ``(diag, offdiag)`` of lengths dim and dim - 1 over
-        ``SectorBasis(P, params.n_atoms)``.
-    """
-    N = params.n_atoms
-    s = np.arange(N + 1)
-    labels = np.asarray(sectors, dtype=int)
-    block = max(1, _BAND_BLOCK // (N + 1))
-    for start in range(0, labels.size, block):
-        p = labels[start : start + block]
-        diag, off = _band_grid(params, p[:, np.newaxis], s)
-        for q, d, e in zip(p.tolist(), diag, off):
-            dim = SectorBasis(p=q, n_atoms=N).dim
-            yield d[:dim], e[: dim - 1]
-
-
 def iter_band_columns(params: ModelParams, sectors):
     """Yield the bands of all sectors in ``sectors`` together, one row per
     basis label s, in blocks of consecutive s covering 0..N, each block of
@@ -244,8 +221,10 @@ def iter_band_columns(params: ModelParams, sectors):
 
 
 def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(diag, offdiag)`` of the sector P; see ``iter_sector_bands``."""
-    return next(iter_sector_bands(params, [p]))
+    """``(diag, offdiag)`` of the sector P, of lengths dim and dim - 1; see ``_band_grid``."""
+    dim = SectorBasis(p=p, n_atoms=params.n_atoms).dim
+    diag, off = _band_grid(params, p, np.arange(dim))
+    return diag, off[: dim - 1]
 
 
 def build_sector_hamiltonian(params: ModelParams, p: int) -> np.ndarray:

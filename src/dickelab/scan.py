@@ -188,6 +188,8 @@ def parse_config(source) -> ScanConfig:
         try:
             model = ModelParams(**{k: v for k, v in model_raw.items() if k != "g"})
             critical_coupling(model)  # the grid is in units of g_c
+            if model.omega_a <= abs(model.lambda_z):
+                raise ValueError("H is unbounded below for omega_a <= |lambda_z|")
         except (TypeError, ValueError) as exc:
             errors.append(f"invalid model parameters: {exc}")
 

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from dickelab import ed, model
-from dickelab.ed import auto_nmax, default_p_max, ground_state_scan, solve_full, solve_ground, solve_sector
+from dickelab.ed import auto_nmax, ground_state_scan, solve_full, solve_ground, solve_sector
 from dickelab.eigen import EigenError
 from dickelab.model import (
     FullBasis,
     ModelParams,
     build_sector_hamiltonian,
     iter_band_columns,
-    iter_sector_bands,
     photon_annihilation,
     sector_bands,
 )
@@ -241,6 +240,12 @@ def test_certificates_travel_with_spectra():
     assert full.ortho_defect <= 1e-10
 
 
+def _reference_p_max(params):
+    """A generous sector range for the reference searches below: twice the
+    condensate-based guess 4 lambda_a^2 + N + 4 that once sized the search."""
+    return 2 * (math.ceil(4 * saddle_point(params).lambda_a**2) + params.n_atoms + 4)
+
+
 def _ground_from_every_sector(params, p_max):
     """Reference: full certified solve of every sector 0..p_max, argmin of
     the ground energies with ties within 1e-12 going to the smaller P."""
@@ -280,7 +285,7 @@ def test_solve_ground_matches_full_solve_of_every_sector(template):
         params = replace(template, g=ratio * gc)
         point = solve_ground(params).point
         got = (point.p_star, point.ground_energy, point.e_goldstone, point.e_higgs, point.e_optical)
-        assert got == _ground_from_every_sector(params, default_p_max(params, params.g))
+        assert got == _ground_from_every_sector(params, _reference_p_max(params))
 
 
 def _exhaustive_p_star(params, p_max):
@@ -303,8 +308,7 @@ def test_screened_search_matches_exhaustive_bisection(template):
     gc = critical_coupling(template)
     for ratio in np.linspace(0, 3.2, 65).tolist():
         params = replace(template, g=ratio * gc)
-        p_max = default_p_max(params, params.g)
-        assert solve_ground(params).point.p_star == _exhaustive_p_star(params, p_max)
+        assert solve_ground(params).point.p_star == _exhaustive_p_star(params, _reference_p_max(params))
 
 
 @pytest.mark.parametrize("lambda_z", [0.9, -0.9])
@@ -316,7 +320,7 @@ def test_screened_search_survives_a_poor_first_guess(lambda_z):
     guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
     p_star = solve_ground(params).point.p_star
     assert abs(p_star - guess) >= 7
-    assert p_star == _exhaustive_p_star(params, default_p_max(params, params.g))
+    assert p_star == _exhaustive_p_star(params, _reference_p_max(params))
 
 
 def test_screened_search_keeps_a_tied_sector_below_the_first_guess():
@@ -324,7 +328,7 @@ def test_screened_search_keeps_a_tied_sector_below_the_first_guess():
     # is 7; at the last coupling with P* = 6, E0(6) lies within the 1e-12
     # tie window above E0(7), and the screen must keep sector 6
     template = ModelParams(n_atoms=5)
-    p_max = default_p_max(template, 2.1)
+    p_max = _reference_p_max(replace(template, g=2.1))
     lo, hi = 1.9, 2.1
     for _ in range(60):
         mid = (lo + hi) / 2
@@ -334,14 +338,38 @@ def test_screened_search_keeps_a_tied_sector_below_the_first_guess():
             hi = mid
     params = replace(template, g=lo)
     assert math.ceil(saddle_point(params).lambda_plus_sq - 0.5) == 7
-    assert solve_ground(params, p_max=p_max).point.p_star == 6
+    assert solve_ground(params).point.p_star == 6
 
 
-def test_solve_ground_widens_a_short_sector_range():
-    params = ModelParams(omega_a=1, omega_b=1, g=3.0, n_atoms=3)
-    full = solve_ground(params).point
-    assert full.p_star > 4
-    assert solve_ground(params, p_max=2).point == full  # retries at p_max = 8, 20
+@pytest.mark.parametrize(
+    "template",
+    EQUIVALENCE_TEMPLATES + [ModelParams(lambda_z=0.9, n_atoms=6), ModelParams(lambda_z=-0.9, n_atoms=6)],
+    ids=["N1", "N2", "N3", "N5", "N8", "N3-detuned", "N4-lambda_z", "N4-u", "N3-lambda_z-u",
+         "N6-lambda_z+0.9", "N6-lambda_z-0.9"],
+)
+def test_sectors_past_the_search_stop_lie_above_the_best_energy(template):
+    gc = critical_coupling(template)
+    for ratio in (0.0, 0.5, 1.0, 1.7, 3.0):
+        params = replace(template, g=ratio * gc)
+        e0 = {}
+        guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
+        ed._bisect_lowest(params, [guess], e0)
+        # the guessed sector's energy is at least the best one, so the first
+        # x is at least E_best plus the tie window; the stop holds for any
+        # x, and a higher x reaches further sectors
+        for shift in (1e-12, 5.0, 50.0):
+            x = e0[guess] + shift
+            stop = ed._search_stop(params, x)
+            ed._bisect_lowest(params, range(stop + 201), e0)
+            assert all(e0[p] > x for p in range(stop + 1, stop + 201))
+
+
+@pytest.mark.parametrize("lambda_z", [-1.0, -1.5, 1.0])
+def test_solve_ground_rejects_an_unbounded_hamiltonian(lambda_z):
+    # a_s = omega_a + lambda_z m/j <= 0 at m = -j or m = +j: the energy
+    # falls without bound as photons are added
+    with pytest.raises(ValueError, match="unbounded"):
+        solve_ground(ModelParams(lambda_z=lambda_z, g=0.5, n_atoms=3))
 
 
 def test_sector_hamiltonian_is_dense_form_of_bands():
@@ -355,19 +383,16 @@ def test_sector_hamiltonian_is_dense_form_of_bands():
 
 def test_sector_bands_do_not_depend_on_blocking(monkeypatch):
     params = ModelParams(omega_a=1.3, omega_b=0.7, g=1.1, lambda_z=0.2, u=-0.1, n_atoms=4)
-    one_block = list(iter_sector_bands(params, range(3, 40)))
-    monkeypatch.setattr(model, "_BAND_BLOCK", 7)  # one sector per block
-    for (d1, e1), p in zip(one_block, range(3, 40)):
-        d2, e2 = sector_bands(params, p)
-        assert np.array_equal(d1, d2) and np.array_equal(e1, e2)
-    assert [len(d) for d, _ in iter_sector_bands(params, range(0, 7))] == [1, 2, 3, 4, 5, 5, 5]
+    assert [len(sector_bands(params, p)[0]) for p in range(0, 7)] == [1, 2, 3, 4, 5, 5, 5]
     # column blocks of the Sturm count: one column per block here
-    columns = list(iter_band_columns(params, range(3, 40)))
+    monkeypatch.setattr(model, "_BAND_BLOCK", 7)
+    columns = list(iter_band_columns(params, range(0, 40)))
     assert [s.tolist() for s, _, _ in columns] == [[k] for k in range(5)]
     diag = np.vstack([d for _, d, _ in columns])
     off = np.vstack([e for _, _, e in columns])
-    for k, (d1, e1) in enumerate(one_block):
-        assert np.array_equal(diag[: d1.size, k], d1) and np.array_equal(off[: e1.size, k], e1)
+    for p in range(0, 40):
+        d, e = sector_bands(params, p)
+        assert np.array_equal(diag[: d.size, p], d) and np.array_equal(off[: e.size, p], e)
 
 
 def test_solve_ground_rejects_bisection_mismatch(monkeypatch):
@@ -385,7 +410,7 @@ def test_solve_ground_rejects_bisection_mismatch(monkeypatch):
 @pytest.mark.parametrize(
     "template, ratio, p_star",
     [
-        (ModelParams(n_atoms=200), 2.0, 263),  # 956 sectors searched
+        (ModelParams(n_atoms=200), 2.0, 263),
         # detuned and weak: the padding of sectors P < N would count if it
         # were not masked
         (ModelParams(omega_a=4.0, omega_b=0.25, n_atoms=20), 0.5, 0),
@@ -400,9 +425,19 @@ def test_screen_bisects_a_handful_of_sectors(monkeypatch, template, ratio, p_sta
         bisected.extend(p for p in sectors if p not in e0)
         real(params, sectors, e0)
 
+    screened = []
+    real_screen = ed._sectors_reaching
+
+    def screening(params, sectors, x):
+        screened.append(len(sectors))
+        return real_screen(params, sectors, x)
+
     monkeypatch.setattr(ed, "_bisect_lowest", recording)
+    monkeypatch.setattr(ed, "_sectors_reaching", screening)
     assert solve_ground(replace(template, g=ratio * critical_coupling(template))).point.p_star == p_star
     assert {p_star, p_star + 1} <= set(bisected) and len(bisected) <= 4
+    # the proven stop stays near the staircase: 318 sectors for P* = 263
+    assert screened[0] <= 1.25 * (p_star + 1) + template.n_atoms + 4
 
 
 def test_solve_ground_large_n_is_certified():

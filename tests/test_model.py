@@ -31,6 +31,14 @@ def test_params_validation():
     assert ModelParams(n_atoms=5).j == 2.5
 
 
+@pytest.mark.parametrize("name", ["omega_a", "omega_b", "g", "g_prime", "lambda_z", "u", "n_atoms"])
+@pytest.mark.parametrize("value", [True, np.True_])
+def test_params_reject_booleans(name, value):
+    # bool is an int subclass: True would pass as N = 1 or as a coupling of 1.0
+    with pytest.raises(ValueError, match=f"{name} must be an? (finite number|integer)"):
+        ModelParams(**{name: value})
+
+
 @pytest.mark.parametrize(
     "n_atoms, p, expected",
     [(5, 3, 4), (3, 7, 4), (1, 0, 1), (4, 4, 5), (2, 100, 3)],

@@ -96,8 +96,20 @@ def test_parse_config_rejects_nonpositive_grid(tmp_path):
         pytest.param({"tolerances": {"eigen": float("inf")}}, "tolerance 'eigen'", id="inf-eigen-tol"),
         pytest.param({"tolerances": {"eigen": 0}}, "tolerance 'eigen'", id="zero-eigen-tol"),
         pytest.param(
+            {"model": {"omega_a": 1.0, "omega_b": 1.0, "n_atoms": True}},
+            "n_atoms must be an integer", id="bool-n-atoms",
+        ),
+        pytest.param(
+            {"model": {"omega_a": True, "omega_b": 1.0, "n_atoms": 3}},
+            "omega_a must be a finite number", id="bool-omega-a",
+        ),
+        pytest.param(
             {"model": {"omega_a": 1.0, "omega_b": 1.0, "n_atoms": 3, "lambda_z": 1.5}},
             "critical coupling", id="no-critical-coupling",
+        ),
+        pytest.param(
+            {"model": {"omega_a": 1.0, "omega_b": 1.0, "n_atoms": 3, "lambda_z": -1.5}},
+            "unbounded below", id="unbounded-below",
         ),
     ],
 )
