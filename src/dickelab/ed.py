@@ -315,12 +315,26 @@ def solve_full(
     params: ModelParams, n_max: int, parity: int, tol: float = DEFAULT_EIGEN_TOL
 ) -> FullSpectrum:
     """Certified spectrum of one parity block of the truncated model."""
+    idx, blocks = _parity_layout(params, n_max, parity)
+    h = build_full_hamiltonian(params, n_max)
+    dec = eigen.eigh(h[np.ix_(idx, idx)], tol=tol, blocks=blocks)
+    return FullSpectrum(
+        parity=parity,
+        basis=FullBasis(n_atoms=params.n_atoms, n_max=n_max),
+        indices=idx,
+        energies=dec.eigenvalues,
+        amplitudes=dec.eigenvectors,
+        max_residual=dec.max_residual,
+        ortho_defect=dec.ortho_defect,
+    )
+
+
+def _parity_layout(params: ModelParams, n_max: int, parity: int):
+    """FullBasis indices of a parity block and the blocks (positions) it splits into, or None."""
     if parity not in (1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    basis = FullBasis(n_atoms=params.n_atoms, n_max=n_max)
-    h = build_full_hamiltonian(params, n_max)
     even, odd = parity_blocks(params.n_atoms, n_max)
     idx = even if parity == 1 else odd
     n, s = np.divmod(idx, params.n_atoms + 1)
@@ -331,17 +345,7 @@ def solve_full(
         conserved = n + s if params.g > 0 else idx
     else:
         conserved = n - s if params.g == 0 else None
-    blocks = None if conserved is None else _groups(conserved)
-    dec = eigen.eigh(h[np.ix_(idx, idx)], tol=tol, blocks=blocks)
-    return FullSpectrum(
-        parity=parity,
-        basis=basis,
-        indices=idx,
-        energies=dec.eigenvalues,
-        amplitudes=dec.eigenvectors,
-        max_residual=dec.max_residual,
-        ortho_defect=dec.ortho_defect,
-    )
+    return idx, None if conserved is None else _groups(conserved)
 
 
 def _groups(labels: np.ndarray) -> list[np.ndarray]:
@@ -359,10 +363,20 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
     the requested parity block move by less than ``tol`` when n_max grows
     by ``_NMAX_STEP``, then bisects down to the smallest such n_max.
 
+    A smaller truncation is a leading principal submatrix of a larger one:
+    the floor check and each doubling step slice what they compare out of
+    one H assembled at hi + ``_NMAX_STEP``, the bisection out of the last.
+    Comparisons use eigenvalues only (``numpy.linalg.eigvalsh`` per
+    declared block); callers certify the returned n_max with ``solve_full``.
+
     Raises
     ------
+    ValueError
+        If ``tol`` is not positive or ``parity`` is not +1 or -1.
     RuntimeError
         If no converged truncation exists below ``NMAX_CAP``.
+    EigenError
+        If LAPACK fails to converge on a compared truncation.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -370,7 +384,15 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
 
     def lowest(n: int) -> np.ndarray:
         if n not in lowest_cache:
-            lowest_cache[n] = solve_full(params, n, parity).energies[:3]
+            idx, blocks = _parity_layout(params, n, parity)
+            rows = [idx] if blocks is None else [idx[b] for b in blocks]
+            # blocks of one size go to LAPACK as one stack
+            stacks = [np.array([r for r in rows if r.size == k]) for k in {r.size for r in rows}]
+            try:
+                vals = [np.linalg.eigvalsh(h[r[:, :, np.newaxis], r[:, np.newaxis, :]]).ravel() for r in stacks]
+            except np.linalg.LinAlgError as exc:
+                raise eigen.EigenError(f"eigvalsh failed at n_max = {n}: {exc}") from exc
+            lowest_cache[n] = np.sort(np.concatenate(vals))[:3]
         return lowest_cache[n]
 
     def converged(n: int) -> bool:
@@ -378,19 +400,16 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
         k = min(a.size, b.size)
         return bool(np.abs(a[:k] - b[:k]).max() < tol)
 
-    if converged(_NMAX_FLOOR):
-        return _NMAX_FLOOR
-    lo = _NMAX_FLOOR
-    hi = 2 * _NMAX_FLOOR
+    lo, hi = _NMAX_FLOOR, 2 * _NMAX_FLOOR
+    h = build_full_hamiltonian(params, hi + _NMAX_STEP)
+    if converged(lo):
+        return lo
     while not converged(hi):
-        lo = hi
-        hi *= 2
+        lo, hi = hi, 2 * hi
         if hi > NMAX_CAP:
             raise RuntimeError(f"auto_nmax exceeded the cap of {NMAX_CAP}")
+        h = build_full_hamiltonian(params, hi + _NMAX_STEP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if converged(mid):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if converged(mid) else (mid, hi)
     return hi

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -23,6 +24,7 @@ from dickelab.observables import (
     photon_correlation,
     photon_number_variance,
 )
+from dickelab.scan import parse_config, run_scan
 from dickelab.theory import critical_coupling, saddle_point
 
 RESONANT = ModelParams(omega_a=1, omega_b=1, g=1.0, n_atoms=1)
@@ -228,6 +230,94 @@ def test_auto_nmax_tracks_condensate_occupation():
     occupation = saddle_point(params).lambda_a ** 2
     assert occupation > 8
     assert auto_nmax(params, 1, tol=1e-8) >= occupation
+
+
+# n_max of the (even, odd) parity blocks at tol 1e-8 on resonance (g_c = 1),
+# recorded when auto_nmax solved every compared truncation in full
+_AUTO_NMAX_RATIOS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0)
+_AUTO_NMAX_TABLE = {
+    (1, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 9)],
+    (1, 0.01): [(8, 8), (8, 8), (8, 8), (8, 9), (10, 9), (10, 9), (12, 13), (14, 15)],
+    (1, 0.05): [(8, 8), (8, 8), (8, 10), (10, 11), (12, 11), (14, 13), (16, 17), (22, 22)],
+    (1, 0.2): [(8, 8), (10, 9), (12, 13), (14, 15), (18, 17), (20, 19), (26, 27), (34, 33)],
+    (2, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (10, 11), (16, 15)],
+    (2, 0.01): [(8, 8), (8, 8), (8, 9), (10, 9), (10, 11), (14, 13), (18, 19), (26, 25)],
+    (2, 0.05): [(8, 8), (8, 9), (10, 11), (13, 12), (14, 15), (18, 18), (26, 26), (34, 35)],
+    (2, 0.2): [(8, 8), (11, 12), (14, 15), (19, 18), (23, 23), (28, 28), (38, 39), (50, 51)],
+    (3, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 9), (10, 11), (16, 15), (22, 21)],
+    (3, 0.01): [(8, 8), (8, 8), (8, 9), (10, 11), (14, 15), (16, 17), (26, 25), (34, 35)],
+    (3, 0.05): [(8, 8), (9, 10), (10, 11), (14, 15), (18, 19), (24, 23), (34, 34), (46, 45)],
+    (3, 0.2): [(8, 8), (12, 13), (17, 17), (23, 23), (29, 29), (35, 35), (49, 49), (66, 66)],
+    (4, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (10, 9), (12, 13), (20, 19), (28, 29)],
+    (4, 0.01): [(8, 8), (8, 8), (10, 9), (14, 13), (16, 15), (20, 21), (32, 31), (44, 43)],
+    (4, 0.05): [(8, 8), (9, 10), (13, 12), (18, 17), (22, 23), (28, 29), (41, 41), (56, 56)],
+    (4, 0.2): [(8, 8), (13, 14), (19, 19), (26, 26), (34, 34), (42, 41), (59, 59), (80, 80)],
+}
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_auto_nmax_reproduces_the_recorded_table(n_atoms):
+    for gp in (0.0, 0.01, 0.05, 0.2):
+        found = [
+            tuple(auto_nmax(ModelParams(g=r, g_prime=gp * r, n_atoms=n_atoms), parity) for parity in (1, -1))
+            for r in _AUTO_NMAX_RATIOS
+        ]
+        assert found == _AUTO_NMAX_TABLE[(n_atoms, gp)], f"g'/g = {gp}"
+
+
+def test_auto_nmax_rejects_a_bad_parity():
+    with pytest.raises(ValueError, match="parity"):
+        auto_nmax(ModelParams(g=1.0, g_prime=0.1, n_atoms=2), 0)
+
+
+def _record_assemblies(monkeypatch):
+    sizes = []
+    real = ed.build_full_hamiltonian
+
+    def recording(params, n_max):
+        sizes.append(n_max)
+        return real(params, n_max)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("auto_nmax must compare eigenvalues, not certified solves")
+
+    monkeypatch.setattr(ed, "build_full_hamiltonian", recording)
+    monkeypatch.setattr(ed, "solve_full", no_solve)
+    return sizes
+
+
+def test_auto_nmax_assembles_once_per_doubling_step(monkeypatch):
+    sizes = _record_assemblies(monkeypatch)
+    # n_max 80: the doubling compares 8, 16, 32, 64 and 128, each against 10 more
+    assert auto_nmax(ModelParams(g=5.0, g_prime=1.0, n_atoms=4), 1) == 80
+    assert sizes == [26, 42, 74, 138]
+
+
+def test_auto_nmax_assembles_nothing_past_the_cap(monkeypatch):
+    sizes = _record_assemblies(monkeypatch)
+    monkeypatch.setattr(ed, "NMAX_CAP", 32)
+    with pytest.raises(RuntimeError, match="cap of 32"):
+        auto_nmax(ModelParams(g=5.0, g_prime=1.0, n_atoms=4), 1)
+    assert max(sizes) == 32 + 10
+
+
+def test_anomalous_demo_scan_writes_the_recorded_file(tmp_path):
+    config = json.loads((Path(__file__).parents[1] / "demos" / "configs" / "crw_anomalous_n2.json").read_text())
+    config["output_dir"] = str(tmp_path / "out")
+    run_scan(parse_config(config))
+    assert (tmp_path / "out" / "anomalous.csv").read_bytes() == (
+        b"quantity,g,g_over_gc,p_star,ed_value,analytic_value,rel_deviation,near_qcp\n"
+        b"anomalous,2.0,2.0,,1.2750456370158862,,,false\n"
+    )
+
+
+def test_groups_are_ordered_by_first_position():
+    # n - s on the even block of N = 2, n_max = 3: labels 0, -2, 0, 2, 0, 2,
+    # so sorting by label would put the group of -2 first
+    even, _ = model.parity_blocks(2, 3)
+    n, s = np.divmod(even, 3)
+    groups = ed._groups(n - s)
+    assert [g.tolist() for g in groups] == [[0, 2, 4], [1], [3, 5]]
 
 
 def test_certificates_travel_with_spectra():

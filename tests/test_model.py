@@ -179,3 +179,23 @@ def test_photon_annihilation_matches_number_operator():
     a = photon_annihilation(basis)
     n, _ = np.divmod(np.arange(basis.dim), 3)
     assert np.allclose(a.T @ a, np.diag(n.astype(float)), atol=1e-14)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "couplings",
+    [
+        pytest.param({"g": 1.3, "g_prime": 0.4}, id="crw"),
+        pytest.param({"g": 1.3}, id="no-crw"),
+        pytest.param({"g_prime": 0.7}, id="crw-only"),
+        pytest.param({"g": 1.1, "g_prime": 0.2, "lambda_z": 0.3, "u": -0.2}, id="lambda_z-u"),
+    ],
+)
+def test_smaller_truncation_is_a_leading_block(n_atoms, couplings):
+    # auto_nmax compares truncations as slices of one assembled matrix
+    params = ModelParams(omega_a=1.1, omega_b=0.9, n_atoms=n_atoms, **couplings)
+    for n_big in (13, 30):
+        h_big = build_full_hamiltonian(params, n_big)
+        for n_max in (1, 7, 12):
+            dim = (n_max + 1) * (n_atoms + 1)
+            assert np.array_equal(h_big[:dim, :dim], build_full_hamiltonian(params, n_max))
