@@ -1,23 +1,33 @@
 """Dense symmetric eigendecomposition with certified residuals.
 
-The solver is LAPACK (``numpy.linalg.eigh``), applied to the whole
-matrix or, when the caller declares a block structure, to each block.
-Callers know the blocks of their Hamiltonians from the conserved
-quantities (excitation number, n + s or n - s).  Solving blocks
-separately guarantees that eigenvectors of decoupled blocks have exact
-zeros outside their block -- a property the conserved-sector physics
-checks rely on.
+The solver is LAPACK, applied to the whole matrix or, when the caller
+declares a block structure, to each block.  A matrix or block whose
+nonzeros all lie on its three central diagonals, with the sub-diagonal
+equal to the super-diagonal, is solved from those two diagonals by
+``dstevd`` (divide and conquer on the tridiagonal form); any other input
+goes to ``numpy.linalg.eigh`` (``dsyevd``).  On tridiagonal input
+``dsyevd``'s reduction to tridiagonal form has zero Householder
+coefficients, so both drivers run the same ``dstedc`` on the same bands
+and return the same eigenvalues and eigenvectors, bit for bit; the band
+path only skips the O(n^3) reduction.  Callers know the blocks of their
+Hamiltonians from the conserved quantities (excitation number, n + s or
+n - s).  Solving blocks separately guarantees that eigenvectors of
+decoupled blocks have exact zeros outside their block -- a property the
+conserved-sector physics checks rely on.
 
 Every decomposition is certified: the maximum residual ||H v - lambda v||
 and the orthonormality defect ||V'V - I||_max are recomputed from the
 output against the whole matrix and must pass the requested tolerance,
-otherwise the call fails.  A wrongly declared block structure therefore
-fails certification instead of passing silently.
+otherwise the call fails.  For a tridiagonal matrix the finiteness check,
+the scale and the residual come from its bands in O(n^2); otherwise from
+the dense matrix.  A wrongly declared block structure therefore fails
+certification instead of passing silently.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dstevd
 
 __all__ = [
     "EigenDecomposition",
@@ -54,16 +64,59 @@ class EigenDecomposition:
     ortho_defect: float
 
 
-def _check_symmetric(m: np.ndarray) -> float:
+def _bands(m: np.ndarray):
+    """``(d, e)``, the diagonal and sub-diagonal of a non-empty square
+    ``m`` whose nonzeros all lie on its three central diagonals and whose
+    sub-diagonal equals its super-diagonal; None for any other ``m``."""
+    n = m.shape[0]
+    if n == 0:
+        return None
+    # strided views of the row-major entries: m[i, i], m[i + 1, i], m[i, i + 1]
+    flat = m.ravel()
+    d, e = flat[:: n + 1], flat[n :: n + 1]
+    if not (e == flat[1 :: n + 1]).all():
+        return None
+    if np.count_nonzero(m) != np.count_nonzero(d) + 2 * np.count_nonzero(e):
+        return None
+    return d, e
+
+
+def _check_symmetric(m: np.ndarray):
+    """The scale max|m_ij| of a square, finite, symmetric ``m`` and its
+    bands ``(d, e)`` if it is tridiagonal (else None)."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    bands = _bands(m)
+    if bands is not None:
+        d, e = bands
+        # NaN propagates through np.maximum and max, so one test covers both bands
+        scale = float(np.maximum(np.abs(d).max(), np.abs(e).max(initial=0.0)))
+        if not np.isfinite(scale):
+            raise ValueError("matrix has non-finite entries")
+        return scale, bands
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     scale = float(np.abs(m).max()) if m.size else 0.0
     defect = float(np.abs(m - m.T).max()) if m.size else 0.0
     if defect > SYMMETRY_RTOL * max(scale, 1.0):
         raise ValueError(f"matrix is not symmetric: asymmetry {defect:.3e} at scale {scale:.3e}")
-    return scale
+    return scale, None
+
+
+def _solve(m: np.ndarray, bands):
+    """Eigenvalues and C-ordered eigenvectors of ``m``: ``dstevd`` on its
+    bands, or ``numpy.linalg.eigh`` when ``bands`` is None."""
+    if bands is None:
+        try:
+            return np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise EigenError(f"eigh failed to converge on a {m.shape[0]}x{m.shape[0]} matrix: {exc}") from exc
+    d, e = bands
+    # the wrapper wants an off-diagonal of length >= 1 even when n = 1
+    vals, vecs, info = dstevd(d, e if e.size else np.zeros(1))
+    if info != 0:
+        raise EigenError(f"dstevd failed on a {d.size}x{d.size} matrix (info = {info})")
+    return vals, np.ascontiguousarray(vecs)
 
 
 def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
@@ -82,6 +135,16 @@ def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
         eigenvalues tied across blocks keep the block order.  ``None``
         (the default) solves the matrix as one block.
 
+    A matrix or block that is exactly symmetric tridiagonal (nonzeros
+    only on the three central diagonals, sub-diagonal equal to
+    super-diagonal; an O(n^2) test) goes to LAPACK ``dstevd`` on its two
+    diagonals, any other to ``numpy.linalg.eigh``; both give the same
+    bits on tridiagonal input.  A tridiagonal ``m`` is also certified
+    from its bands: finiteness and scale from the diagonals, the
+    residual from (d - lambda) v + e (shifted v).  The orthonormality
+    defect is V'V - I in either case.  Without ``blocks`` the
+    eigenvectors are C-ordered on both paths, as numpy returns them.
+
     Raises
     ------
     ValueError
@@ -94,14 +157,11 @@ def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     m = np.asarray(m, dtype=float)
-    scale = _check_symmetric(m)
+    scale, bands = _check_symmetric(m)
     size = m.shape[0]
 
     if blocks is None:
-        try:
-            vals, vecs = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as exc:
-            raise EigenError(f"eigh failed to converge on a {size}x{size} matrix: {exc}") from exc
+        vals, vecs = _solve(m, bands)
     else:
         blocks = [np.asarray(idx, dtype=int) for idx in blocks]
         rows = np.concatenate(blocks) if blocks else np.empty(0, dtype=int)
@@ -111,12 +171,8 @@ def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
         vecs = np.zeros((size, size))
         col = 0
         for idx in blocks:
-            try:
-                sub_vals, sub_vecs = np.linalg.eigh(m[np.ix_(idx, idx)])
-            except np.linalg.LinAlgError as exc:
-                raise EigenError(
-                    f"eigh failed to converge on a {idx.size}x{idx.size} block: {exc}"
-                ) from exc
+            sub = m[np.ix_(idx, idx)]
+            sub_vals, sub_vecs = _solve(sub, _bands(sub))
             vals[col : col + idx.size] = sub_vals
             vecs[np.ix_(idx, np.arange(col, col + idx.size))] = sub_vecs
             col += idx.size
@@ -124,7 +180,7 @@ def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
         vals = vals[order]
         vecs = vecs[:, order]
 
-    max_res = _residual_arrays(m, vals, vecs)
+    max_res = _residual_arrays(m, bands, vals, vecs)
     defect = _ortho_defect_array(vecs)
     if max_res > tol * max(scale, 1e-300):
         raise EigenError(f"residual {max_res:.3e} exceeds tol {tol:.1e} * scale {scale:.3e}")
@@ -135,10 +191,18 @@ def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
     )
 
 
-def _residual_arrays(m, vals, vecs) -> float:
+def _residual_arrays(m, bands, vals, vecs) -> float:
+    """max_i ||m v_i - vals_i v_i||_2, from the bands ``(d, e)`` of a
+    tridiagonal ``m`` when given (O(n^2)), else from ``m @ vecs``."""
     if vals.size == 0:
         return 0.0
-    r = m @ vecs - vecs * vals[np.newaxis, :]
+    if bands is None:
+        r = m @ vecs - vecs * vals[np.newaxis, :]
+    else:
+        d, e = bands
+        r = (d[:, np.newaxis] - vals[np.newaxis, :]) * vecs
+        r[:-1] += e[:, np.newaxis] * vecs[1:]
+        r[1:] += e[:, np.newaxis] * vecs[:-1]
     return float(np.sqrt((r * r).sum(axis=0)).max())
 
 
@@ -154,7 +218,7 @@ def residual(m: np.ndarray, d: EigenDecomposition) -> float:
     m = np.asarray(m, dtype=float)
     if m.shape != d.eigenvectors.shape:
         raise ValueError(f"dimension mismatch: matrix {m.shape} vs eigenvectors {d.eigenvectors.shape}")
-    return _residual_arrays(m, d.eigenvalues, d.eigenvectors)
+    return _residual_arrays(m, _bands(m), d.eigenvalues, d.eigenvectors)
 
 
 def orthonormality_defect(d: EigenDecomposition) -> float:

@@ -454,6 +454,53 @@ def test_sectors_past_the_search_stop_lie_above_the_best_energy(template):
             assert all(e0[p] > x for p in range(stop + 1, stop + 201))
 
 
+def test_sturm_count_survives_an_exactly_zero_pivot():
+    # at g = 0 the off-diagonals vanish and the pivot of row s is d_s - y;
+    # a count shifted exactly onto a diagonal entry makes that pivot 0, and
+    # the next row divides 0 by it unless the dlaebz pivmin rule replaced it
+    params = ModelParams(omega_b=1.3, n_atoms=3)
+    diag = sector_bands(params, 4)[0]
+
+    def shifted(x):  # the y of _sectors_reaching for sector 4 (max|e| = 0)
+        return x + ed._STURM_SLACK * 4 * np.finfo(float).eps * (np.abs(diag).max() + abs(x))
+
+    x = diag[1]
+    while shifted(x) > diag[1]:
+        x = np.nextafter(x, -np.inf)
+    assert shifted(x) == diag[1]
+    with np.errstate(divide="raise", invalid="raise"):
+        assert ed._sectors_reaching(params, range(6), x) == [0, 1, 2, 3, 4]
+
+
+def _single_qubit_energies(params, p):
+    """Closed form of sector P at N = 1: the 2x2 block of |P, down> and
+    |P - 1, up>, or the vacuum -omega_b/2."""
+    if p == 0:
+        return np.array([-params.omega_b / 2])
+    root = math.sqrt(((params.omega_a - params.omega_b) / 2) ** 2 + params.g**2 * p)
+    return params.omega_a * (p - 0.5) + np.array([-root, root])
+
+
+@pytest.mark.parametrize("omega_a, omega_b", [(1.0, 1.0), (1.3, 0.7)], ids=["resonant", "detuned"])
+def test_single_qubit_matches_the_closed_form(omega_a, omega_b):
+    template = ModelParams(omega_a=omega_a, omega_b=omega_b, n_atoms=1)
+    gc = critical_coupling(template)
+    stars = set()
+    for ratio in np.linspace(0.3, 8.05, 26).tolist():
+        params = replace(template, g=ratio * gc)
+        for p in range(40):
+            expected = _single_qubit_energies(params, p)
+            got = solve_sector(params, p).energies
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        lowest = np.array([_single_qubit_energies(params, p)[0] for p in range(80)])
+        best, runner_up = np.sort(lowest)[:2]
+        assert runner_up - best > 1e-9  # no near-tie on this grid
+        p_star = int(np.argmin(lowest))
+        assert solve_ground(params).point.p_star == p_star
+        stars.add(p_star)
+    assert len(stars) >= 8  # the grid climbs the staircase
+
+
 @pytest.mark.parametrize("lambda_z", [-1.0, -1.5, 1.0])
 def test_solve_ground_rejects_an_unbounded_hamiltonian(lambda_z):
     # a_s = omega_a + lambda_z m/j <= 0 at m = -j or m = +j: the energy

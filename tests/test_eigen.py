@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dickelab import eigen
 from dickelab.eigen import EigenDecomposition, EigenError, eigh, orthonormality_defect, residual
+from dickelab.model import ModelParams, build_sector_hamiltonian
+from dickelab.theory import critical_coupling
 
 
 def test_identity_matrix():
@@ -164,3 +167,98 @@ def test_convergence_failure_is_signalled():
     m = (m + m.T) / 2
     with pytest.raises(EigenError):
         eigh(m * 1e8, tol=1e-18)
+
+
+# Tridiagonal input: LAPACK dstevd on the bands, certified from the bands.
+
+BAND_TEMPLATES = {
+    "resonant": {},
+    "detuned": {"omega_a": 1.3, "omega_b": 0.7},
+    "lambda_z": {"lambda_z": 0.3},
+    "u": {"u": 0.2},
+}
+
+
+def _sector_matrices():
+    for n_atoms in (1, 2, 3, 5, 20, 80):
+        for name, fields in BAND_TEMPLATES.items():
+            template = ModelParams(n_atoms=n_atoms, **fields)
+            gc = critical_coupling(template)
+            for ratio in (0.3, 1.0, 2.2, 4.0):
+                params = ModelParams(n_atoms=n_atoms, g=ratio * gc, **fields)
+                for p in sorted({1, n_atoms // 2, n_atoms + 1, 2 * n_atoms + 3}):
+                    yield f"N{n_atoms}-{name}-{ratio}-P{p}", build_sector_hamiltonian(params, p)
+
+
+@pytest.fixture
+def dstevd_calls(monkeypatch):
+    """Count the calls eigen makes to LAPACK dstevd."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].size)
+        return real(*args, **kwargs)
+
+    real = eigen.dstevd
+    monkeypatch.setattr(eigen, "dstevd", counting)
+    return calls
+
+
+def test_band_path_is_bit_identical_to_dense_eigh(dstevd_calls):
+    count = 0
+    for label, h in _sector_matrices():
+        d = eigh(h)
+        vals, vecs = np.linalg.eigh(h)
+        assert np.array_equal(d.eigenvalues, vals), label
+        assert np.array_equal(d.eigenvectors, vecs), label
+        assert d.eigenvectors.flags["C_CONTIGUOUS"], label
+        count += 1
+    assert len(dstevd_calls) == count
+
+
+def test_band_path_solves_tridiagonal_declared_blocks(dstevd_calls):
+    # two tridiagonal blocks interleaved: rows 0, 2, 4 and rows 1, 3
+    m = np.zeros((5, 5))
+    m[[0, 2, 4], [0, 2, 4]] = [1.0, -2.0, 0.5]
+    m[[1, 3], [1, 3]] = [4.0, 6.0]
+    m[0, 2] = m[2, 0] = 0.7
+    m[2, 4] = m[4, 2] = 0.3
+    m[1, 3] = m[3, 1] = 1.1
+    d = eigh(m, blocks=[[0, 2, 4], [1, 3]])
+    assert dstevd_calls == [3, 2]
+    assert np.allclose(d.eigenvalues, np.linalg.eigvalsh(m), atol=1e-12)
+
+
+def test_one_entry_off_the_bands_takes_the_dense_path(dstevd_calls):
+    h = build_sector_hamiltonian(ModelParams(n_atoms=5, g=2.0), 8)
+    eigh(h)
+    assert dstevd_calls == [6]
+    h[0, 3] = h[3, 0] = 1e-3
+    d = eigh(h)
+    assert dstevd_calls == [6]
+    assert residual(h, d) == d.max_residual
+    assert d.max_residual <= 1e-12 * np.abs(h).max()
+
+
+def test_band_path_rejects_bad_bands():
+    h = build_sector_hamiltonian(ModelParams(n_atoms=3, g=1.5), 4)
+    for i, j, value in [(1, 1, np.nan), (2, 1, np.nan), (0, 0, np.inf), (1, 2, h[1, 2] * 1.1)]:
+        bad = h.copy()
+        bad[i, j] = value
+        with pytest.raises(ValueError):
+            eigh(bad)
+
+
+def test_band_residual_is_the_residual_helper():
+    for label, h in _sector_matrices():
+        d = eigh(h)
+        assert residual(h, d) == d.max_residual, label
+        assert orthonormality_defect(d) == d.ortho_defect, label
+        assert d.max_residual <= 1e-12 * max(1.0, np.abs(h).max()), label
+
+
+def test_band_path_certification_failure_is_signalled(dstevd_calls):
+    h = build_sector_hamiltonian(ModelParams(n_atoms=80, g=2.0), 150)
+    with pytest.raises(EigenError, match="residual"):
+        eigh(h * 1e8, tol=1e-18)
+    assert dstevd_calls == [81]
