@@ -17,8 +17,6 @@ from .model import (
     build_full_hamiltonian,
     build_sector_hamiltonian,
     parity_blocks,
-    photon_annihilation,
-    total_excitation_operator,
 )
 from .eigen import EigenDecomposition, EigenError, eigh, orthonormality_defect, residual
 from .ed import (

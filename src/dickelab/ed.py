@@ -30,9 +30,9 @@ from .model import (
     FullBasis,
     ModelParams,
     SectorBasis,
+    _band_grid,
     build_full_hamiltonian,
     build_sector_hamiltonian,
-    iter_band_columns,
     parity_blocks,
     sector_bands,
 )
@@ -65,6 +65,8 @@ _TIE_WINDOW = 1e-12
 # Rounding allowance of a Sturm count and of a bisection, in units of
 # (N + 1) eps (|T| + |x|): each is a few eps |T| (Kahan's backward error).
 _STURM_SLACK = 8
+# Elements of the (s, P) band grid that _sectors_reaching evaluates at once.
+_BAND_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -160,40 +162,49 @@ def _bisect_lowest(params: ModelParams, sectors, e0: dict[int, float]) -> None:
         e0[p] = float(w[0])
 
 
+def _band_norms(params: ModelParams):
+    """``(kappa, A, B, k)``: row s of every sector P has |d_s| <= A P + B,
+    A = omega_a + |lambda_z|, B = (omega_b + |u|) N/2 (as n <= P, |m| <= j),
+    and |e_s| <= K sqrt(P), K = max k_s, k_s = (g/sqrt(N)) sqrt((s+1)(N-s)),
+    so a Sturm count or a ``dstebz`` bisection at x errs by at most kappa
+    (A P + B + 2 K sqrt(P) + |x|).  kappa is twice the ``_STURM_SLACK``
+    allowance: the computed bands may exceed these bounds on the exact
+    ones by a relative few eps, which the factor 2 covers.
+    """
+    N = params.n_atoms
+    s = np.arange(N + 1.0)
+    k = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s))
+    kappa = 2 * _STURM_SLACK * (N + 1) * np.finfo(float).eps
+    return kappa, params.omega_a + abs(params.lambda_z), (params.omega_b + abs(params.u)) * N / 2, k
+
+
 def _sectors_reaching(params: ModelParams, sectors, x: float) -> list[int]:
     """The sectors among ``sectors`` that may have an eigenvalue at or
     below ``x``.
 
     One Sturm count per sector, vectorized over P and looping over s,
     follows LAPACK ``dlaebz``: pivots q_s = (d_s - e_{s-1}^2 / q_{s-1}) - y,
-    a pivot smaller in magnitude than pivmin = safe-min * max(1, max e^2)
+    a pivot smaller in magnitude than pivmin = safe-min * max(1, K^2 P)
     is replaced by -pivmin, and a pivot <= 0 counts an eigenvalue <= y.
-    The count is taken at y = x + delta with delta = _STURM_SLACK (N + 1)
-    eps (max|d| + 2 max|e| + |x|) per sector, which bounds the rounding of
-    this count and of the ``dstebz`` bisection, so a sector left out has a
-    bisected lowest eigenvalue above ``x``.  The bands come in bounded
-    blocks of s; a grid of more than one block is evaluated twice, once
-    for the norms and once for the count.
+    At y = x + kappa (A P + B + 2 K sqrt(P) + |x|) (see ``_band_norms``) a
+    sector left out has a bisected lowest eigenvalue above ``x``.  The
+    bands are evaluated once, in blocks of about ``_BAND_BLOCK`` elements
+    of consecutive s, which bounds the memory at large N.
     """
     p = np.asarray(sectors, dtype=int)
-    N = params.n_atoms
-    d_max = np.zeros(p.size)
-    e_max = np.zeros(p.size)
-    n_blocks = 0
-    for s, diag, off in iter_band_columns(params, p):
-        outside = s[:, np.newaxis] > p
-        d_max = np.maximum(d_max, np.abs(np.where(outside, 0.0, diag)).max(axis=0))
-        e_max = np.maximum(e_max, np.abs(off).max(axis=0))
-        n_blocks += 1
+    kappa, big_a, big_b, k = _band_norms(params)
+    e_max = k.max() * np.sqrt(p)
     pivmin = np.finfo(float).tiny * np.maximum(1.0, e_max**2)
-    y = x + _STURM_SLACK * (N + 1) * np.finfo(float).eps * (d_max + 2 * e_max + abs(x))
+    y = x + kappa * (big_a * p + big_b + 2 * e_max + abs(x))
     reaching = np.zeros(p.size, dtype=bool)
     q = e2 = None
-    blocks = [(s, diag, off)] if n_blocks == 1 else iter_band_columns(params, p)
-    for s, diag, off in blocks:
+    width = max(1, _BAND_BLOCK // max(p.size, 1))
+    for start in range(0, params.n_atoms + 1, width):
+        s = np.arange(start, min(start + width, params.n_atoms + 1))[:, np.newaxis]
+        diag, off = _band_grid(params, p, s)
         # +inf on the padded diagonal makes the padded pivots +inf (the
         # padded off-diagonal is 0), so they do not count.
-        diag[s[:, np.newaxis] > p] = np.inf
+        diag[s > p] = np.inf
         for d, e in zip(diag, off):
             q = d - y if q is None else (d - e2 / q) - y
             q = np.where(np.abs(q) < pivmin, -pivmin, q)
@@ -208,36 +219,30 @@ def _search_stop(params: ModelParams, x: float) -> int:
 
     Row s of sector P (n = P - s photons, m = s - N/2) has the diagonal
     a_s n + b_s, with a_s = omega_a + lambda_z m/j and b_s = omega_b m
-    + u m^2/j, and off-diagonals below C_s sqrt(n + 1), with C_s = k_{s-1}
-    + k_s, k_s = (g/sqrt(N)) sqrt((s+1)(N-s)), k_{-1} = 0.  Bisection may
-    undershoot the eigenvalue by kappa (max|d| + 2 max|e| + |x|), kappa =
-    _STURM_SLACK (N + 1) eps (see ``_sectors_reaching``); 2 kappa also
-    covers the rounding of the bands.  With t = sqrt(n + 1), A = omega_a
-    + |lambda_z|, B = (omega_b + |u|) N/2, K = max k_s, max|d| <= A P + B,
-    max|e| <= K sqrt(P), P <= t^2 + N and sqrt(P) <= t + sqrt(N),
-    Gershgorin's theorem puts the bisected value above ``x`` once every row
-    has
+    + u m^2/j, and off-diagonals below C_s sqrt(n + 1), C_s = k_{s-1} + k_s,
+    k_{-1} = 0.  Bisection undershoots the eigenvalue by at most kappa
+    (A P + B + 2 K sqrt(P) + |x|) (see ``_band_norms``).  With t = sqrt(n
+    + 1), P <= t^2 + N and sqrt(P) <= t + sqrt(N), Gershgorin's theorem
+    puts the bisected value above ``x`` once every row has
 
-        (a_s - 2 kappa A) t^2 - (C_s + 4 kappa K) t
-            - (x + a_s - b_s + 2 kappa (A N + B + 2 K sqrt(N) + |x|)) > 0,
+        (a_s - kappa A) t^2 - (C_s + 2 kappa K) t
+            - (x + a_s - b_s + kappa (A N + B + 2 K sqrt(N) + |x|)) > 0,
 
     i.e. t > T_s, the larger root, i.e. P > s + T_s^2 - 1.  P_stop =
     floor((1 + 1e-6) max_s (s + T_s^2)) adds one sector and a relative 1e-6
     for the O(sqrt(eps)) rounding of T_s^2.  Raises ValueError if some
-    a_s <= 2 kappa A: omega_a <= |lambda_z| makes H unbounded below.
+    a_s <= kappa A: omega_a <= |lambda_z| makes H unbounded below.
     """
     N = params.n_atoms
+    kappa, big_a, big_b, k = _band_norms(params)
     s = np.arange(N + 1.0)
     m = s - N / 2
     a = params.omega_a + (params.lambda_z / params.j) * m
-    k = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s))
     c = k + np.append(0.0, k[:-1])
-    kappa = 2 * _STURM_SLACK * (N + 1) * np.finfo(float).eps
-    big_a = params.omega_a + abs(params.lambda_z)
     alpha = a - kappa * big_a
     if not alpha.min() > 0:
         raise ValueError(f"H is unbounded below: omega_a = {params.omega_a}, lambda_z = {params.lambda_z}")
-    norms = big_a * N + (params.omega_b + abs(params.u)) * N / 2 + 2 * k.max() * math.sqrt(N) + abs(x)
+    norms = big_a * N + big_b + 2 * k.max() * math.sqrt(N) + abs(x)
     beta = c + 2 * kappa * k.max()
     gamma = a - (params.omega_b + (params.u / params.j) * m) * m + (x + kappa * norms)
     t = (beta + np.sqrt(np.maximum(beta * beta + 4 * alpha * gamma, 0.0))) / (2 * alpha)

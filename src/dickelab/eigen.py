@@ -142,8 +142,8 @@ def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
     bits on tridiagonal input.  A tridiagonal ``m`` is also certified
     from its bands: finiteness and scale from the diagonals, the
     residual from (d - lambda) v + e (shifted v).  The orthonormality
-    defect is V'V - I in either case.  Without ``blocks`` the
-    eigenvectors are C-ordered on both paths, as numpy returns them.
+    defect is V'V - I in either case.  The eigenvectors are C-ordered on
+    every path, as numpy returns them.
 
     Raises
     ------
@@ -178,7 +178,7 @@ def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
             col += idx.size
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
-        vecs = vecs[:, order]
+        vecs = np.ascontiguousarray(vecs[:, order])
 
     max_res = _residual_arrays(m, bands, vals, vecs)
     defect = _ortho_defect_array(vecs)

@@ -19,6 +19,11 @@ photon+spin space splits into two parity blocks.
 All matrices are real symmetric: off-diagonal elements are taken
 non-negative (a global gauge choice that leaves spectra and squared
 amplitudes unchanged).
+
+A sector is given by its tridiagonal bands (``sector_bands``, or dense
+``build_sector_hamiltonian``; ``_band_grid`` evaluates them over a grid
+of sectors at once), the truncated full basis by
+``build_full_hamiltonian`` and its two ``parity_blocks``.
 """
 
 import math
@@ -31,12 +36,9 @@ __all__ = [
     "SectorBasis",
     "FullBasis",
     "sector_bands",
-    "iter_band_columns",
     "build_sector_hamiltonian",
     "build_full_hamiltonian",
     "parity_blocks",
-    "photon_annihilation",
-    "total_excitation_operator",
 ]
 
 
@@ -115,14 +117,6 @@ class SectorBasis:
     def dim(self) -> int:
         return min(self.p, self.n_atoms) + 1
 
-    def photons(self, s):
-        """Photon occupation of basis state s."""
-        return self.p - s
-
-    def spin_z(self, s):
-        """J_z eigenvalue m = s - N/2 of basis state s."""
-        return s - self.n_atoms / 2
-
 
 @dataclass(frozen=True)
 class FullBasis:
@@ -149,19 +143,10 @@ class FullBasis:
     def index(self, n: int, s: int) -> int:
         return n * (self.n_atoms + 1) + s
 
-    def state(self, index: int) -> tuple[int, int]:
-        """Return (n, s) of a flat index."""
-        return divmod(index, self.n_atoms + 1)
-
     def parities(self) -> np.ndarray:
         """Parity (+1 or -1) of every basis state, in index order."""
         n, s = np.divmod(np.arange(self.dim), self.n_atoms + 1)
         return np.where((n + s) % 2 == 0, 1, -1)
-
-
-# Matrix elements per block of the (s, P) grid that iter_band_columns
-# evaluates by _band_grid at once.
-_BAND_BLOCK = 2**16
 
 
 def _band_grid(params: ModelParams, p, s) -> tuple[np.ndarray, np.ndarray]:
@@ -194,30 +179,6 @@ def _band_grid(params: ModelParams, p, s) -> tuple[np.ndarray, np.ndarray]:
     # P - s < 0 only past a sector's dimension, where the padding is 0
     off = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s)) * np.sqrt(np.maximum(n, 0))
     return diag, off
-
-
-def iter_band_columns(params: ModelParams, sectors):
-    """Yield the bands of all sectors in ``sectors`` together, one row per
-    basis label s, in blocks of consecutive s covering 0..N, each block of
-    about ``_BAND_BLOCK`` elements.
-
-    This is the order of a Sturm count, which runs along s and can run
-    over all sectors at once.
-
-    Yields
-    ------
-    (numpy.ndarray, numpy.ndarray, numpy.ndarray)
-        ``(s, diag, offdiag)``: the block's basis labels and arrays of
-        shape (len(s), len(sectors)) whose element [i, k] is H[s_i, s_i]
-        or H[s_i, s_i + 1] of sector ``sectors[k]``, padded past each
-        sector's dimension as in ``_band_grid``.
-    """
-    p = np.asarray(sectors, dtype=int)
-    N = params.n_atoms
-    width = max(1, _BAND_BLOCK // max(p.size, 1))
-    for start in range(0, N + 1, width):
-        s = np.arange(start, min(start + width, N + 1))
-        yield (s, *_band_grid(params, p, s[:, np.newaxis]))
 
 
 def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,18 +242,3 @@ def parity_blocks(n_atoms: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     basis = FullBasis(n_atoms=n_atoms, n_max=n_max)
     par = basis.parities()
     return np.where(par == 1)[0], np.where(par == -1)[0]
-
-
-def photon_annihilation(basis: FullBasis) -> np.ndarray:
-    """Photon annihilation operator a on the truncated full basis."""
-    a = np.zeros((basis.dim, basis.dim))
-    n, s = np.divmod(np.arange(basis.dim), basis.n_atoms + 1)
-    src = np.where(n >= 1)[0]
-    a[src - (basis.n_atoms + 1), src] = np.sqrt(n[src])
-    return a
-
-
-def total_excitation_operator(basis: FullBasis) -> np.ndarray:
-    """Diagonal operator n + s counting total excitations."""
-    n, s = np.divmod(np.arange(basis.dim), basis.n_atoms + 1)
-    return np.diag((n + s).astype(float))

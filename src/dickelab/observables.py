@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ed import FullSpectrum, SectorSpectrum
-from .model import photon_annihilation
 
 __all__ = [
     "SpectralLine",
@@ -166,13 +165,14 @@ def anomalous_weight(full_even: FullSpectrum, full_odd: FullSpectrum) -> float:
         raise ValueError("pass the even block first and the odd block second")
     if full_even.basis != full_odd.basis:
         raise ValueError("parity blocks were solved on different bases")
-    a_full = photon_annihilation(full_even.basis)
     if full_even.energies[0] <= full_odd.energies[0]:
         block_g, block_m = full_even, full_odd
     else:
         block_g, block_m = full_odd, full_even
-    a_gm = a_full[np.ix_(block_m.indices, block_g.indices)]  # a: G block -> m block
-    a_mg = a_full[np.ix_(block_g.indices, block_m.indices)]  # a: m block -> G block
+    # a|n, s> = sqrt(n) |n - 1, s>, and |n - 1, s> sits N + 1 flat indices lower
+    idx_g, idx_m, stride = block_g.indices, block_m.indices, full_even.basis.n_atoms + 1
+    a_gm = np.where(idx_m[:, None] == idx_g - stride, np.sqrt(idx_g // stride), 0.0)  # a: G block -> m block
+    a_mg = np.where(idx_g[:, None] == idx_m - stride, np.sqrt(idx_m // stride), 0.0)  # a: m block -> G block
     ground = block_g.amplitudes[:, 0]
     forward = block_m.amplitudes.T @ (a_gm @ ground)  # <m|a|G>
     backward = (a_mg @ block_m.amplitudes).T @ ground  # <G|a|m>

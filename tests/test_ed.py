@@ -13,8 +13,6 @@ from dickelab.model import (
     FullBasis,
     ModelParams,
     build_sector_hamiltonian,
-    iter_band_columns,
-    photon_annihilation,
     sector_bands,
 )
 from dickelab.observables import (
@@ -114,7 +112,10 @@ def test_sector_eigenstates_have_exactly_zero_photon_coherence():
     params = ModelParams(omega_a=1, omega_b=1, g=2.0, n_atoms=3)
     n_max = 12
     basis = FullBasis(n_atoms=3, n_max=n_max)
-    a = photon_annihilation(basis)
+    a = np.zeros((basis.dim, basis.dim))
+    for n in range(1, n_max + 1):
+        for s in range(4):
+            a[basis.index(n - 1, s), basis.index(n, s)] = np.sqrt(n)
     for p in (2, 4):
         spec = solve_sector(params, p)
         for l in range(spec.basis.dim):
@@ -171,6 +172,7 @@ def test_solve_sector_at_zero_coupling_returns_the_basis():
         spec = solve_sector(params, p)
         assert np.all(spec.energies == p - 2.0)
         assert np.array_equal(spec.amplitudes, np.eye(spec.basis.dim))
+        assert spec.amplitudes.flags["C_CONTIGUOUS"]
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])
@@ -178,6 +180,7 @@ def test_solve_full_without_crw_keeps_exact_zeros_across_sectors(n_atoms):
     params = ModelParams(omega_a=1, omega_b=1, g=1.3, n_atoms=n_atoms)
     even, odd = solve_full(params, 12, 1), solve_full(params, 12, -1)
     for spec in (even, odd):
+        assert spec.amplitudes.flags["C_CONTIGUOUS"]
         n, s = np.divmod(spec.indices, n_atoms + 1)
         for col in range(spec.energies.size):
             support = np.flatnonzero(spec.amplitudes[:, col])
@@ -460,9 +463,11 @@ def test_sturm_count_survives_an_exactly_zero_pivot():
     # the next row divides 0 by it unless the dlaebz pivmin rule replaced it
     params = ModelParams(omega_b=1.3, n_atoms=3)
     diag = sector_bands(params, 4)[0]
+    kappa, big_a, big_b, k = ed._band_norms(params)
+    assert k.max() == 0.0
 
-    def shifted(x):  # the y of _sectors_reaching for sector 4 (max|e| = 0)
-        return x + ed._STURM_SLACK * 4 * np.finfo(float).eps * (np.abs(diag).max() + abs(x))
+    def shifted(x):  # the y of _sectors_reaching for sector 4 (K = 0)
+        return x + kappa * (big_a * 4 + big_b + abs(x))
 
     x = diag[1]
     while shifted(x) > diag[1]:
@@ -518,18 +523,30 @@ def test_sector_hamiltonian_is_dense_form_of_bands():
         assert np.array_equal(build_sector_hamiltonian(params, p), dense)
 
 
-def test_sector_bands_do_not_depend_on_blocking(monkeypatch):
-    params = ModelParams(omega_a=1.3, omega_b=0.7, g=1.1, lambda_z=0.2, u=-0.1, n_atoms=4)
-    assert [len(sector_bands(params, p)[0]) for p in range(0, 7)] == [1, 2, 3, 4, 5, 5, 5]
-    # column blocks of the Sturm count: one column per block here
-    monkeypatch.setattr(model, "_BAND_BLOCK", 7)
-    columns = list(iter_band_columns(params, range(0, 40)))
-    assert [s.tolist() for s, _, _ in columns] == [[k] for k in range(5)]
-    diag = np.vstack([d for _, d, _ in columns])
-    off = np.vstack([e for _, _, e in columns])
-    for p in range(0, 40):
-        d, e = sector_bands(params, p)
-        assert np.array_equal(diag[: d.size, p], d) and np.array_equal(off[: e.size, p], e)
+@pytest.mark.parametrize(
+    "template, ratio, shift",
+    [
+        (ModelParams(omega_a=1.3, omega_b=0.7, lambda_z=0.2, u=-0.1, n_atoms=4), 1.7, 1e-12),
+        (ModelParams(omega_a=4.0, omega_b=0.25, n_atoms=20), 0.5, 1e-12),
+        (ModelParams(n_atoms=8), 0.0, 3.0),
+        (ModelParams(n_atoms=200), 2.0, 5.0),
+    ],
+    ids=["N4-lambda_z-u", "N20-detuned-weak", "N8-g0", "N200"],
+)
+def test_screen_does_not_depend_on_blocking(monkeypatch, template, ratio, shift):
+    params = replace(template, g=ratio * critical_coupling(template))
+    guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
+    e0 = {}
+    ed._bisect_lowest(params, [guess], e0)
+    for x in (e0[guess] + 1e-12, e0[guess] + shift):
+        sectors = range(ed._search_stop(params, x) + 1)
+        # the default evaluates the grid in one block, except at N = 200
+        # and x + 5, whose grid of 201 s-rows spans several blocks
+        expected = ed._sectors_reaching(params, sectors, x)
+        with monkeypatch.context() as patch:
+            patch.setattr(ed, "_BAND_BLOCK", 1)  # one s-row per block
+            assert ed._sectors_reaching(params, sectors, x) == expected
+        assert guess in expected
 
 
 def test_solve_ground_rejects_bisection_mismatch(monkeypatch):

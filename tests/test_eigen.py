@@ -227,6 +227,7 @@ def test_band_path_solves_tridiagonal_declared_blocks(dstevd_calls):
     d = eigh(m, blocks=[[0, 2, 4], [1, 3]])
     assert dstevd_calls == [3, 2]
     assert np.allclose(d.eigenvalues, np.linalg.eigvalsh(m), atol=1e-12)
+    assert d.eigenvectors.flags["C_CONTIGUOUS"]
 
 
 def test_one_entry_off_the_bands_takes_the_dense_path(dstevd_calls):

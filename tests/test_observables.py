@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dickelab.ed import solve_full, solve_ground, solve_sector
+from dickelab.ed import auto_nmax, solve_full, solve_ground, solve_sector
 from dickelab.model import ModelParams, SectorBasis
 from dickelab.ed import SectorSpectrum
 from dickelab.observables import (
@@ -18,6 +18,7 @@ from dickelab.observables import (
     photon_correlation,
     photon_number_variance,
 )
+from dickelab.theory import critical_coupling
 
 N3_G2 = ModelParams(omega_a=1, omega_b=1, g=2.0, n_atoms=3)
 
@@ -203,6 +204,61 @@ def test_anomalous_weight_validates_blocks():
     other = solve_full(params, 22, -1)
     with pytest.raises(ValueError):
         anomalous_weight(even, other)
+
+# Anomalous weights recorded with the a-blocks sliced out of a dense
+# annihilation matrix; the flat-index a-blocks are the same arrays, so
+# every weight must match to the last bit.  The golden scan file covers
+# N = 2 only.
+# (N, template, g/g_c, g'/g, n_max, weight as float hex)
+ANOMALOUS_WEIGHTS = [
+    (1, "resonant", 0.5, 0.01, 8, "0x1.767db0366a0a3p-10"),
+    (1, "resonant", 0.5, 0.2, 8, "0x1.d3e4121420e4bp-6"),
+    (1, "resonant", 1.5, 0.01, 8, "0x1.657abdede7e8dp-6"),
+    (1, "resonant", 1.5, 0.2, 13, "0x1.c3636b6a80665p-2"),
+    (1, "resonant", 3.0, 0.01, 10, "0x1.48f45dbb42a56p-2"),
+    (1, "resonant", 3.0, 0.2, 20, "0x1.737e6e507fd2fp+1"),
+    (1, "detuned", 0.5, 0.01, 8, "0x1.f6bd6f5a309a8p-11"),
+    (1, "detuned", 0.5, 0.2, 8, "0x1.39bbe3207f20bp-6"),
+    (1, "detuned", 1.5, 0.01, 8, "0x1.5ec7b88987865p-7"),
+    (1, "detuned", 1.5, 0.2, 10, "0x1.bca444b01a11bp-3"),
+    (1, "detuned", 3.0, 0.01, 9, "0x1.269f5323dae66p-4"),
+    (1, "detuned", 3.0, 0.2, 15, "0x1.435c8bdb2dc35p+0"),
+    (3, "resonant", 0.5, 0.01, 8, "0x1.9ded2b04d9b0fp-10"),
+    (3, "resonant", 0.5, 0.2, 8, "0x1.066d8a8c065cdp-5"),
+    (3, "resonant", 1.5, 0.01, 9, "0x1.e3a48cadd4672p-3"),
+    (3, "resonant", 1.5, 0.2, 17, "0x1.0a4f002f5050cp+1"),
+    (3, "resonant", 3.0, 0.01, 17, "0x1.139f4c63d1c03p+2"),
+    (3, "resonant", 3.0, 0.2, 35, "0x1.2d4692e395ba2p+3"),
+    (3, "detuned", 0.5, 0.01, 8, "0x1.1d3e3fb6ecb76p-10"),
+    (3, "detuned", 0.5, 0.2, 8, "0x1.68ed779432d76p-6"),
+    (3, "detuned", 1.5, 0.01, 8, "0x1.18a6658bd9d98p-4"),
+    (3, "detuned", 1.5, 0.2, 13, "0x1.0b8cf45abbc9ep+0"),
+    (3, "detuned", 3.0, 0.01, 13, "0x1.2021e8894d605p+0"),
+    (3, "detuned", 3.0, 0.2, 26, "0x1.3d42b069004eap+2"),
+    (4, "resonant", 0.5, 0.01, 8, "0x1.a372d7f130b45p-10"),
+    (4, "resonant", 0.5, 0.2, 8, "0x1.0abd4b6d5c034p-5"),
+    (4, "resonant", 1.5, 0.01, 10, "0x1.8ead1fb266d1bp-2"),
+    (4, "resonant", 1.5, 0.2, 19, "0x1.69e1b03dabd60p+1"),
+    (4, "resonant", 3.0, 0.01, 21, "0x1.ae7e403fb5af7p+2"),
+    (4, "resonant", 3.0, 0.2, 42, "0x1.948348b2d0deep+3"),
+    (4, "detuned", 0.5, 0.01, 8, "0x1.22218b134b0f7p-10"),
+    (4, "detuned", 0.5, 0.2, 8, "0x1.70472f9979fbep-6"),
+    (4, "detuned", 1.5, 0.01, 9, "0x1.46cb229dde0ecp-3"),
+    (4, "detuned", 1.5, 0.2, 15, "0x1.7d00f14780e62p+0"),
+    (4, "detuned", 3.0, 0.01, 15, "0x1.30753ef942456p+1"),
+    (4, "detuned", 3.0, 0.2, 30, "0x1.ace4a4155ed5ep+2"),
+]
+
+
+def test_anomalous_weight_matches_the_recorded_bits():
+    templates = {"resonant": {}, "detuned": {"omega_a": 1.3, "omega_b": 0.7}}
+    for n_atoms, tag, ratio, gp_over_g, n_max, weight in ANOMALOUS_WEIGHTS:
+        template = ModelParams(n_atoms=n_atoms, **templates[tag])
+        g = ratio * critical_coupling(template)
+        params = replace(template, g=g, g_prime=gp_over_g * g)
+        assert max(auto_nmax(params, parity) for parity in (1, -1)) == n_max
+        got = anomalous_weight(solve_full(params, n_max, 1), solve_full(params, n_max, -1))
+        assert got.hex() == weight, (n_atoms, tag, ratio, gp_over_g)
 
 
 def test_evaluate_time_correlation():
