@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .oracle import oracle_check
-from .scan import ConfigError, compare_report, load_rows, parse_config, run_scan
+from .scan import ConfigError, _number, compare_report, load_rows, parse_config, run_scan
 
 ORACLE_TOL = 1e-10
 ORACLE_NMAX = 6
@@ -42,6 +42,12 @@ def _cmd_compare(args) -> int:
             return 2
         if not isinstance(thresholds, dict):
             print("thresholds file must be a JSON object {quantity: max_rel_deviation}", file=sys.stderr)
+            return 2
+        errors: list[str] = []
+        thresholds = {key: _number(errors, value, 0, f"threshold {key!r} must be a finite number > 0")
+                      for key, value in thresholds.items()}
+        if errors:
+            print("invalid thresholds: " + "; ".join(errors), file=sys.stderr)
             return 2
     try:
         rows = load_rows(args.data_dir)

@@ -13,10 +13,10 @@ the ``(diag, offdiag)`` bands.  A Gershgorin bound on the bands proves a
 last sector past which no ground energy can compete, and one Sturm count
 over the sectors up to it proves which ones can hold the minimum, so only
 those (usually one or two) are bisected; only P* and P*+1 are fully
-diagonalized and certified.  Every eigensolve declares the blocks its
-matrix is known to split into (a diagonal sector at g = 0, conserved
-n + s or n - s in a parity block), so eigenvectors keep exact zeros
-outside their block.
+diagonalized and certified.  A parity block that conserves n + s or
+n - s is solved chain by chain, tridiagonal with zeros between chains;
+``eigen.eigh`` splits such a matrix (or a diagonal sector at g = 0) at
+its zeros, so eigenvectors keep exact zeros outside their chain.
 """
 
 import math
@@ -93,8 +93,8 @@ class SectorSpectrum:
 class FullSpectrum:
     """Spectrum of one parity block of the truncated full basis.
 
-    ``indices`` are the FullBasis flat indices spanned by this block;
-    ``amplitudes[i, l]`` refers to ``indices[i]``.
+    ``indices`` are the FullBasis flat indices spanned by this block, in
+    ascending order; ``amplitudes[i, l]`` refers to ``indices[i]``.
     """
 
     parity: int
@@ -132,11 +132,7 @@ class GroundSolve:
 
 def solve_sector(params: ModelParams, p: int, tol: float = DEFAULT_EIGEN_TOL) -> SectorSpectrum:
     """Certified spectrum of the excitation sector P (g' = 0)."""
-    h = build_sector_hamiltonian(params, p)
-    # Every off-diagonal element is nonzero for g > 0; at g = 0 the sector
-    # is diagonal and each basis state is an eigenstate.
-    blocks = None if params.g > 0 else [[s] for s in range(h.shape[0])]
-    dec = eigen.eigh(h, tol=tol, blocks=blocks)
+    dec = eigen.eigh(build_sector_hamiltonian(params, p), tol=tol)
     return SectorSpectrum(
         basis=SectorBasis(p=p, n_atoms=params.n_atoms),
         energies=dec.eigenvalues,
@@ -319,23 +315,29 @@ def ground_state_scan(
 def solve_full(
     params: ModelParams, n_max: int, parity: int, tol: float = DEFAULT_EIGEN_TOL
 ) -> FullSpectrum:
-    """Certified spectrum of one parity block of the truncated model."""
-    idx, blocks = _parity_layout(params, n_max, parity)
-    h = build_full_hamiltonian(params, n_max)
-    dec = eigen.eigh(h[np.ix_(idx, idx)], tol=tol, blocks=blocks)
+    """Certified spectrum of one parity block of the truncated model.
+
+    The rows are solved chain by chain (``_parity_layout`` order), which
+    makes a block that conserves n + s or n - s tridiagonal with exact
+    zeros between chains; amplitude rows come back in ``indices`` order.
+    """
+    idx, chains = _parity_layout(params, n_max, parity)
+    rows = idx[np.concatenate(chains)]
+    dec = eigen.eigh(build_full_hamiltonian(params, n_max)[np.ix_(rows, rows)], tol=tol)
     return FullSpectrum(
         parity=parity,
         basis=FullBasis(n_atoms=params.n_atoms, n_max=n_max),
         indices=idx,
         energies=dec.eigenvalues,
-        amplitudes=dec.eigenvectors,
+        amplitudes=dec.eigenvectors[np.argsort(rows)],
         max_residual=dec.max_residual,
         ortho_defect=dec.ortho_defect,
     )
 
 
 def _parity_layout(params: ModelParams, n_max: int, parity: int):
-    """FullBasis indices of a parity block and the blocks (positions) it splits into, or None."""
+    """FullBasis indices of a parity block and its chains (positions): of
+    the n + s or n - s it conserves, else one chain of every row."""
     if parity not in (1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
     if n_max < 1:
@@ -345,12 +347,14 @@ def _parity_layout(params: ModelParams, n_max: int, parity: int):
     n, s = np.divmod(idx, params.n_atoms + 1)
     # The rotating term conserves n + s and the counter-rotating one n - s,
     # and each coupling along these chains is nonzero; with both couplings
-    # present the parity block is irreducible.
+    # present the parity block is irreducible, one chain.
     if params.g_prime == 0:
         conserved = n + s if params.g > 0 else idx
+    elif params.g == 0:
+        conserved = n - s
     else:
-        conserved = n - s if params.g == 0 else None
-    return idx, None if conserved is None else _groups(conserved)
+        return idx, [np.arange(idx.size)]
+    return idx, _groups(conserved)
 
 
 def _groups(labels: np.ndarray) -> list[np.ndarray]:
@@ -371,8 +375,9 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
     A smaller truncation is a leading principal submatrix of a larger one:
     the floor check and each doubling step slice what they compare out of
     one H assembled at hi + ``_NMAX_STEP``, the bisection out of the last.
-    Comparisons use eigenvalues only (``numpy.linalg.eigvalsh`` per
-    declared block); callers certify the returned n_max with ``solve_full``.
+    Comparisons use eigenvalues only (``numpy.linalg.eigvalsh`` per chain
+    of a conserved n + s or n - s); callers certify the returned n_max with
+    ``solve_full``.
 
     Raises
     ------
@@ -389,8 +394,8 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
 
     def lowest(n: int) -> np.ndarray:
         if n not in lowest_cache:
-            idx, blocks = _parity_layout(params, n, parity)
-            rows = [idx] if blocks is None else [idx[b] for b in blocks]
+            idx, chains = _parity_layout(params, n, parity)
+            rows = [idx[chain] for chain in chains]
             # blocks of one size go to LAPACK as one stack
             stacks = [np.array([r for r in rows if r.size == k]) for k in {r.size for r in rows}]
             try:

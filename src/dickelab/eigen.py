@@ -1,27 +1,23 @@
 """Dense symmetric eigendecomposition with certified residuals.
 
-The solver is LAPACK, applied to the whole matrix or, when the caller
-declares a block structure, to each block.  A matrix or block whose
-nonzeros all lie on its three central diagonals, with the sub-diagonal
-equal to the super-diagonal, is solved from those two diagonals by
-``dstevd`` (divide and conquer on the tridiagonal form); any other input
-goes to ``numpy.linalg.eigh`` (``dsyevd``).  On tridiagonal input
-``dsyevd``'s reduction to tridiagonal form has zero Householder
-coefficients, so both drivers run the same ``dstedc`` on the same bands
-and return the same eigenvalues and eigenvectors, bit for bit; the band
-path only skips the O(n^3) reduction.  Callers know the blocks of their
-Hamiltonians from the conserved quantities (excitation number, n + s or
-n - s).  Solving blocks separately guarantees that eigenvectors of
-decoupled blocks have exact zeros outside their block -- a property the
-conserved-sector physics checks rely on.
+The solver is LAPACK.  A matrix whose nonzeros all lie on its three
+central diagonals, with the sub-diagonal equal to the super-diagonal, is
+solved from those two diagonals by ``dstevd`` (divide and conquer on the
+tridiagonal form); any other input goes to ``numpy.linalg.eigh``
+(``dsyevd``).  On tridiagonal input ``dsyevd``'s reduction to tridiagonal
+form has zero Householder coefficients, so both drivers run the same
+``dstedc`` on the same bands and return the same eigenvalues and
+eigenvectors, bit for bit; the band path only skips the O(n^3) reduction.
+A tridiagonal matrix is split at its exact-zero off-diagonals and each
+segment solved on its own, so eigenvectors have exact zeros outside their
+segment -- a property the conserved-sector physics checks rely on.
 
 Every decomposition is certified: the maximum residual ||H v - lambda v||
 and the orthonormality defect ||V'V - I||_max are recomputed from the
 output against the whole matrix and must pass the requested tolerance,
 otherwise the call fails.  For a tridiagonal matrix the finiteness check,
 the scale and the residual come from its bands in O(n^2); otherwise from
-the dense matrix.  A wrongly declared block structure therefore fails
-certification instead of passing silently.
+the dense matrix.
 """
 
 from dataclasses import dataclass
@@ -104,22 +100,38 @@ def _check_symmetric(m: np.ndarray):
 
 
 def _solve(m: np.ndarray, bands):
-    """Eigenvalues and C-ordered eigenvectors of ``m``: ``dstevd`` on its
-    bands, or ``numpy.linalg.eigh`` when ``bands`` is None."""
+    """Eigenvalues and C-ordered eigenvectors of ``m``: ``dstevd`` on each
+    segment of its bands between exact-zero off-diagonals, or
+    ``numpy.linalg.eigh`` when ``bands`` is None."""
     if bands is None:
         try:
             return np.linalg.eigh(m)
         except np.linalg.LinAlgError as exc:
             raise EigenError(f"eigh failed to converge on a {m.shape[0]}x{m.shape[0]} matrix: {exc}") from exc
     d, e = bands
-    # the wrapper wants an off-diagonal of length >= 1 even when n = 1
-    vals, vecs, info = dstevd(d, e if e.size else np.zeros(1))
-    if info != 0:
-        raise EigenError(f"dstevd failed on a {d.size}x{d.size} matrix (info = {info})")
-    return vals, np.ascontiguousarray(vecs)
+    # segments end after each exact-zero off-diagonal
+    cuts = (np.flatnonzero(e == 0) + 1).tolist() if np.count_nonzero(e) < e.size else []
+    segments = list(zip([0, *cuts], [*cuts, d.size]))
+    parts = []
+    for a, b in segments:
+        # the wrapper wants an off-diagonal of length >= 1 even when n = 1
+        vals, vecs, info = dstevd(d[a:b], e[a : b - 1] if b - a > 1 else np.zeros(1))
+        if info != 0:
+            raise EigenError(f"dstevd failed on a {b - a}x{b - a} matrix (info = {info})")
+        parts.append((vals, vecs))
+    if len(parts) == 1:
+        return vals, np.ascontiguousarray(vecs)
+    # Merge ascending, ties in segment order; each segment's vectors keep
+    # exact zeros outside its rows.
+    vals = np.concatenate([part[0] for part in parts])
+    vecs = np.zeros((d.size, d.size))
+    for (a, b), (_, seg_vecs) in zip(segments, parts):
+        vecs[a:b, a:b] = seg_vecs
+    order = np.argsort(vals, kind="stable")
+    return vals[order], np.ascontiguousarray(vecs[:, order])
 
 
-def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
+def eigh(m: np.ndarray, tol: float = 1e-8) -> EigenDecomposition:
     """Full certified eigendecomposition of a real symmetric matrix.
 
     Parameters
@@ -129,27 +141,24 @@ def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
         to the largest entry).
     tol : float
         Residual tolerance in units of the largest |entry|.
-    blocks : sequence of index arrays, optional
-        A partition of the rows into blocks that ``m`` does not couple,
-        ordered by smallest index; each block is solved on its own, and
-        eigenvalues tied across blocks keep the block order.  ``None``
-        (the default) solves the matrix as one block.
 
-    A matrix or block that is exactly symmetric tridiagonal (nonzeros
-    only on the three central diagonals, sub-diagonal equal to
-    super-diagonal; an O(n^2) test) goes to LAPACK ``dstevd`` on its two
-    diagonals, any other to ``numpy.linalg.eigh``; both give the same
-    bits on tridiagonal input.  A tridiagonal ``m`` is also certified
-    from its bands: finiteness and scale from the diagonals, the
-    residual from (d - lambda) v + e (shifted v).  The orthonormality
-    defect is V'V - I in either case.  The eigenvectors are C-ordered on
-    every path, as numpy returns them.
+    A matrix that is exactly symmetric tridiagonal (nonzeros only on the
+    three central diagonals, sub-diagonal equal to super-diagonal; an
+    O(n^2) test) goes to LAPACK ``dstevd`` on its two diagonals, split
+    at its exact-zero off-diagonals: each segment is solved on its own,
+    so every eigenvector is exactly zero outside one segment, and
+    eigenvalues tied across segments keep the segment order.  Any other
+    matrix goes to ``numpy.linalg.eigh``, which gives the same bits on
+    tridiagonal input without a zero off-diagonal.  A tridiagonal ``m``
+    is also certified from its bands: finiteness and scale from the
+    diagonals, the residual from (d - lambda) v + e (shifted v).  The
+    orthonormality defect is V'V - I in either case.  The eigenvectors
+    are C-ordered on every path, as numpy returns them.
 
     Raises
     ------
     ValueError
-        Non-square, non-finite or non-symmetric input, or ``blocks`` that
-        do not partition the rows.
+        Non-square, non-finite or non-symmetric input.
     EigenError
         LAPACK failed to converge, or the recomputed residual or the
         orthonormality defect exceeds its bound.
@@ -158,28 +167,7 @@ def eigh(m: np.ndarray, tol: float = 1e-8, blocks=None) -> EigenDecomposition:
         raise ValueError(f"tol must be positive, got {tol}")
     m = np.asarray(m, dtype=float)
     scale, bands = _check_symmetric(m)
-    size = m.shape[0]
-
-    if blocks is None:
-        vals, vecs = _solve(m, bands)
-    else:
-        blocks = [np.asarray(idx, dtype=int) for idx in blocks]
-        rows = np.concatenate(blocks) if blocks else np.empty(0, dtype=int)
-        if not np.array_equal(np.sort(rows), np.arange(size)):
-            raise ValueError(f"blocks must partition the {size} rows")
-        vals = np.empty(size)
-        vecs = np.zeros((size, size))
-        col = 0
-        for idx in blocks:
-            sub = m[np.ix_(idx, idx)]
-            sub_vals, sub_vecs = _solve(sub, _bands(sub))
-            vals[col : col + idx.size] = sub_vals
-            vecs[np.ix_(idx, np.arange(col, col + idx.size))] = sub_vecs
-            col += idx.size
-        order = np.argsort(vals, kind="stable")
-        vals = vals[order]
-        vecs = np.ascontiguousarray(vecs[:, order])
-
+    vals, vecs = _solve(m, bands)
     max_res = _residual_arrays(m, bands, vals, vecs)
     defect = _ortho_defect_array(vecs)
     if max_res > tol * max(scale, 1e-300):

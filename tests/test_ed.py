@@ -164,9 +164,9 @@ def test_solve_full_validates_arguments():
 
 
 def test_solve_sector_at_zero_coupling_returns_the_basis():
-    # on resonance at g = 0 every diagonal entry of a sector is equal; each
-    # basis state is declared its own block, so the eigenvectors are the
-    # identity, bit for bit
+    # on resonance at g = 0 every diagonal entry of a sector is equal; the
+    # diagonal sector splits into 1-row segments whose ties keep the row
+    # order, so the eigenvectors are the identity, bit for bit
     params = ModelParams(omega_a=1, omega_b=1, g=0.0, n_atoms=4)
     for p in (0, 2, 4, 7):
         spec = solve_sector(params, p)
@@ -203,6 +203,29 @@ def test_solve_full_matches_the_reference_decomposition():
                 key = f"N{n_atoms}_{tag}_{name}"
                 assert spec.energies.tobytes() == reference[key + "_energies"].tobytes()
                 assert spec.amplitudes.tobytes() == reference[key + "_amplitudes"].tobytes()
+
+
+@pytest.mark.parametrize("g, g_prime, conserved", [(1.3, 0.0, "n+s"), (0.0, 0.4, "n-s")])
+@pytest.mark.parametrize("n_atoms, n_max", [(1, 7), (2, 16), (3, 5)])
+def test_solve_full_certifies_chain_by_chain_on_the_band_path(
+    monkeypatch, dstevd_calls, g, g_prime, conserved, n_atoms, n_max
+):
+    # one dstevd call per chain of the conserved n + s or n - s, chains in
+    # order of their first basis index, and never the dense driver
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", dense)
+    params = ModelParams(g=g, g_prime=g_prime, n_atoms=n_atoms)
+    for parity in (1, -1):
+        dstevd_calls.clear()
+        spec = solve_full(params, n_max, parity)
+        n, s = np.divmod(spec.indices, n_atoms + 1)
+        labels = (n + s if conserved == "n+s" else n - s).tolist()
+        assert dstevd_calls == [labels.count(label) for label in dict.fromkeys(labels)]
+        assert np.all(np.diff(spec.indices) > 0)
+        assert spec.max_residual <= 1e-12 * max(1.0, np.abs(spec.energies).max())
+        assert spec.ortho_defect <= 1e-13
 
 
 def test_landau_level_separation_deep_superradiant():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dstevd
 
 from dickelab import eigen
 from dickelab.eigen import EigenDecomposition, EigenError, eigh, orthonormality_defect, residual
@@ -88,76 +89,6 @@ def test_shift_invariance():
     assert np.abs(shifted - (base + c)).max() <= 1e-10
 
 
-def _two_block_matrix():
-    m = np.zeros((5, 5))
-    m[0, 0], m[2, 2], m[4, 4] = 1.0, -2.0, 0.5
-    m[0, 2] = m[2, 0] = 0.7
-    m[0, 4] = m[4, 0] = 0.3
-    m[1, 1], m[3, 3] = 4.0, 6.0
-    m[1, 3] = m[3, 1] = 1.1
-    return m
-
-
-def test_block_structure_gives_exact_zero_support():
-    # two declared decoupled blocks: eigenvectors must vanish exactly off-block
-    m = _two_block_matrix()
-    d = eigh(m, blocks=[[0, 2, 4], [1, 3]])
-    block_a = {0, 2, 4}
-    for col in range(5):
-        support = set(np.nonzero(d.eigenvectors[:, col])[0].tolist())
-        assert support <= block_a or support <= {1, 3}
-    full = np.linalg.eigvalsh(m)
-    assert np.allclose(d.eigenvalues, full, atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data(), n_blocks=st.integers(2, 4))
-def test_random_block_structure_support_and_spectrum(data, n_blocks):
-    # random block-diagonal layout under a random index permutation:
-    # per-block spectra must be reproduced and support stay exact
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    sizes = [data.draw(st.integers(1, 4)) for _ in range(n_blocks)]
-    total = sum(sizes)
-    perm = rng.permutation(total)
-    m = np.zeros((total, total))
-    block_of = np.empty(total, dtype=int)
-    start = 0
-    expected = []
-    blocks = []
-    for b, size in enumerate(sizes):
-        idx = perm[start : start + size]
-        block_of[idx] = b
-        blocks.append(idx)
-        sub = rng.standard_normal((size, size))
-        sub = (sub + sub.T) / 2
-        sub[np.abs(sub) < 0.05] = 0.3  # keep blocks internally connected
-        m[np.ix_(idx, idx)] = sub
-        expected.append(np.linalg.eigvalsh(m[np.ix_(idx, idx)]))
-        start += size
-    d = eigh(m, blocks=blocks)
-    assert np.allclose(d.eigenvalues, np.sort(np.concatenate(expected)), atol=1e-10)
-    for col in range(total):
-        support = np.nonzero(d.eigenvectors[:, col])[0]
-        assert len(set(block_of[support])) <= 1
-
-
-@pytest.mark.parametrize(
-    "blocks",
-    [[[0, 2, 4], [1]], [[0, 2, 4], [1, 3, 3]], [[0, 2, 4], [1, 3, 5]], [[0, 1, 2, 3, 4], [2]]],
-    ids=["row-missing", "row-repeated", "row-out-of-range", "overlap"],
-)
-def test_blocks_must_partition_the_rows(blocks):
-    with pytest.raises(ValueError, match="partition"):
-        eigh(_two_block_matrix(), blocks=blocks)
-
-
-def test_wrongly_declared_blocks_fail_certification():
-    # a valid partition that cuts the nonzero couplings 0-2 and 0-4: the
-    # residual against the whole matrix exposes it
-    with pytest.raises(EigenError, match="residual"):
-        eigh(_two_block_matrix(), blocks=[[0, 1, 3], [2, 4]])
-
-
 def test_convergence_failure_is_signalled():
     # numpy's eigh essentially always converges; exercise the error type
     # indirectly by certifying against an absurd tolerance via a matrix
@@ -190,20 +121,6 @@ def _sector_matrices():
                     yield f"N{n_atoms}-{name}-{ratio}-P{p}", build_sector_hamiltonian(params, p)
 
 
-@pytest.fixture
-def dstevd_calls(monkeypatch):
-    """Count the calls eigen makes to LAPACK dstevd."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].size)
-        return real(*args, **kwargs)
-
-    real = eigen.dstevd
-    monkeypatch.setattr(eigen, "dstevd", counting)
-    return calls
-
-
 def test_band_path_is_bit_identical_to_dense_eigh(dstevd_calls):
     count = 0
     for label, h in _sector_matrices():
@@ -214,20 +131,6 @@ def test_band_path_is_bit_identical_to_dense_eigh(dstevd_calls):
         assert d.eigenvectors.flags["C_CONTIGUOUS"], label
         count += 1
     assert len(dstevd_calls) == count
-
-
-def test_band_path_solves_tridiagonal_declared_blocks(dstevd_calls):
-    # two tridiagonal blocks interleaved: rows 0, 2, 4 and rows 1, 3
-    m = np.zeros((5, 5))
-    m[[0, 2, 4], [0, 2, 4]] = [1.0, -2.0, 0.5]
-    m[[1, 3], [1, 3]] = [4.0, 6.0]
-    m[0, 2] = m[2, 0] = 0.7
-    m[2, 4] = m[4, 2] = 0.3
-    m[1, 3] = m[3, 1] = 1.1
-    d = eigh(m, blocks=[[0, 2, 4], [1, 3]])
-    assert dstevd_calls == [3, 2]
-    assert np.allclose(d.eigenvalues, np.linalg.eigvalsh(m), atol=1e-12)
-    assert d.eigenvectors.flags["C_CONTIGUOUS"]
 
 
 def test_one_entry_off_the_bands_takes_the_dense_path(dstevd_calls):
@@ -263,3 +166,109 @@ def test_band_path_certification_failure_is_signalled(dstevd_calls):
     with pytest.raises(EigenError, match="residual"):
         eigh(h * 1e8, tol=1e-18)
     assert dstevd_calls == [81]
+
+
+# Segmented tridiagonal input: split at exact-zero off-diagonals.
+
+
+def _tridiagonal(d, e):
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _segment_of_rows(e):
+    """Segment number of every row of a tridiagonal matrix with off-diagonal e."""
+    return np.concatenate(([0], np.cumsum(np.asarray(e) == 0)))
+
+
+def _assert_split_solution(d, e, dec):
+    """``dec`` holds each segment's own dstevd eigenpairs, bit for bit, with
+    the vectors zero-padded outside the segment, merged by eigenvalue in a
+    stable order (ties in segment order)."""
+    segment = _segment_of_rows(e)
+    pairs = []
+    for k in range(segment[-1] + 1):
+        rows = np.flatnonzero(segment == k)
+        sub_e = np.asarray(e, dtype=float)[rows[:-1]]
+        vals, vecs, info = dstevd(np.asarray(d, dtype=float)[rows], sub_e if sub_e.size else np.zeros(1))
+        assert info == 0
+        for val, vec in zip(vals, vecs.T):
+            padded = np.zeros(len(d))
+            padded[rows] = vec
+            pairs.append((val, padded))
+    pairs.sort(key=lambda pair: pair[0])  # list.sort is stable
+    assert np.array_equal(dec.eigenvalues, [val for val, _ in pairs])
+    assert np.array_equal(dec.eigenvectors, np.array([vec for _, vec in pairs]).T)
+    assert dec.eigenvectors.flags["C_CONTIGUOUS"]
+
+
+def test_split_keeps_exact_zeros_outside_each_segment(dstevd_calls):
+    d, e = [1.0, -2.0, 0.5, 4.0, 6.0, 3.0], [0.7, 0.3, 0.0, 1.1, 0.0]
+    m = _tridiagonal(d, e)
+    dec = eigh(m)
+    assert dstevd_calls == [3, 2, 1]
+    _assert_split_solution(d, e, dec)
+    assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(m), atol=1e-12)
+    assert residual(m, dec) == dec.max_residual <= 1e-14 * np.abs(m).max()
+
+
+def test_ties_across_segments_keep_segment_order(dstevd_calls):
+    # three copies of [[0, 1], [1, 0]] and a 1-row segment at -1: the
+    # eigenvalue -1 appears four times and +1 three times
+    d, e = [0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+    dec = eigh(_tridiagonal(d, e))
+    assert dstevd_calls == [2, 2, 1, 2]
+    assert np.array_equal(dec.eigenvalues, [-1.0] * 4 + [1.0] * 3)
+    segment = _segment_of_rows(e)
+    support = [int(np.unique(segment[np.flatnonzero(v)])[0]) for v in dec.eigenvectors.T]
+    assert support == [0, 1, 2, 3, 0, 1, 3]
+    _assert_split_solution(d, e, dec)
+
+
+def test_one_row_segments_give_the_basis(dstevd_calls):
+    # a diagonal matrix splits into 1-row segments; equal entries keep the
+    # row order, so the eigenvectors are a permutation matrix
+    d = [2.0, -1.0, 2.0, 0.5, -1.0]
+    dec = eigh(np.diag(d))
+    assert dstevd_calls == [1] * 5
+    assert np.array_equal(dec.eigenvalues, [-1.0, -1.0, 0.5, 2.0, 2.0])
+    assert np.array_equal(dec.eigenvectors, np.eye(5)[:, [1, 4, 3, 0, 2]])
+    assert dec.eigenvectors.flags["C_CONTIGUOUS"]
+    # 1-row segments at both ends of a coupled one
+    d, e = [5.0, 1.0, 2.0, 3.0, -4.0], [0.0, 0.4, -0.6, 0.0]
+    dstevd_calls.clear()
+    dec = eigh(_tridiagonal(d, e))
+    assert dstevd_calls == [1, 3, 1]
+    _assert_split_solution(d, e, dec)
+
+
+# the fixture's counter is cleared per example
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+)
+def test_random_segmented_tridiagonal(dstevd_calls, sizes, seed, ties):
+    # random segments, each internally coupled; with ties, every segment
+    # of one size is a copy of one matrix, so eigenvalues tie exactly
+    # across segments
+    rng = np.random.default_rng(seed)
+    copies = {}
+    d, e = [], []
+    for size in sizes:
+        if not ties or size not in copies:
+            coupling = rng.uniform(0.1, 1.0, size - 1) * rng.choice([-1.0, 1.0], size - 1)
+            copies[size] = (rng.standard_normal(size), coupling)
+        seg_d, seg_e = copies[size]
+        d += list(seg_d)
+        e += list(seg_e) + [0.0]
+    d, e = np.array(d), np.array(e[:-1])
+    m = _tridiagonal(d, e)
+    dstevd_calls.clear()
+    dec = eigh(m)
+    assert dstevd_calls == sizes
+    _assert_split_solution(d, e, dec)
+    assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(m), atol=1e-12)
+    assert residual(m, dec) == dec.max_residual <= 1e-12 * max(1.0, np.abs(m).max())
+    assert dec.ortho_defect <= 1e-13

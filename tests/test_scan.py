@@ -339,3 +339,18 @@ def test_cli_oracle_rejects_large_n(tmp_path, capsys):
         quantities=["higgs"],
     )
     assert main(["oracle", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("value", ['"0.1"', "true", "NaN", "Infinity", "0", "-0.1", "null", "[0.1]"])
+def test_cli_compare_rejects_invalid_thresholds(tmp_path, capsys, value):
+    # each value must be a finite, non-bool real > 0: a string used to
+    # crash the comparison with a TypeError, true was read as 1.0 and NaN
+    # was accepted
+    cfg = _write_config(tmp_path, quantities=["higgs"])
+    assert main(["scan", str(cfg)]) == 0
+    capsys.readouterr()
+    thresholds = tmp_path / "thresholds.json"
+    thresholds.write_text('{"mandel": 0.5, "higgs": %s}' % value)
+    assert main(["compare", str(tmp_path / "out"), "--thresholds", str(thresholds)]) == 2
+    err = capsys.readouterr().err
+    assert "'higgs'" in err and "'mandel'" not in err
