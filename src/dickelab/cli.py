@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .oracle import oracle_check
-from .scan import ConfigError, _number, compare_report, load_rows, parse_config, run_scan
+from .scan import _ROW_QUANTITIES, ConfigError, _number, compare_report, load_rows, parse_config, run_scan
 
 ORACLE_TOL = 1e-10
 ORACLE_NMAX = 6
@@ -43,7 +43,7 @@ def _cmd_compare(args) -> int:
         if not isinstance(thresholds, dict):
             print("thresholds file must be a JSON object {quantity: max_rel_deviation}", file=sys.stderr)
             return 2
-        errors: list[str] = []
+        errors = [f"threshold key {key!r} names no scan quantity" for key in thresholds if key not in _ROW_QUANTITIES]
         thresholds = {key: _number(errors, value, 0, f"threshold {key!r} must be a finite number > 0")
                       for key, value in thresholds.items()}
         if errors:

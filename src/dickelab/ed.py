@@ -10,17 +10,18 @@ gap E^{P*+1}_1 - E^{P*}_0.
 Every sector Hamiltonian is tridiagonal.  P* is chosen from the sectors'
 lowest eigenvalues, found by LAPACK Sturm-count bisection (``dstebz``) on
 the ``(diag, offdiag)`` bands.  A Gershgorin bound on the bands proves a
-last sector past which no ground energy can compete, and one Sturm count
-over the sectors up to it proves which ones can hold the minimum, so only
-those (usually one or two) are bisected; only P* and P*+1 are fully
-diagonalized and certified.  A parity block that conserves n + s or
-n - s is solved chain by chain, tridiagonal with zeros between chains;
-``eigen.eigh`` splits such a matrix (or a diagonal sector at g = 0) at
-its zeros, so eigenvectors keep exact zeros outside their chain.
+last sector past which no ground energy can compete, and one ``dstebz``
+count over the sectors up to it, laid end to end, proves which ones can
+hold the minimum, so only those (usually one or two) are bisected; only
+P* and P*+1 are fully diagonalized and certified.  A parity block that
+conserves n + s or n - s is solved chain by chain, tridiagonal with zeros
+between chains; ``eigen.eigh`` splits such a matrix (or a diagonal sector
+at g = 0) at its zeros, so eigenvectors are exactly zero off their chain.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dstebz
@@ -30,7 +31,6 @@ from .model import (
     FullBasis,
     ModelParams,
     SectorBasis,
-    _band_grid,
     build_full_hamiltonian,
     build_sector_hamiltonian,
     parity_blocks,
@@ -62,11 +62,8 @@ _BISECTION_ABSTOL = 2 * np.finfo(float).tiny
 # Sectors whose ground energies differ by at most this are tied; P* is the
 # smaller one.
 _TIE_WINDOW = 1e-12
-# Rounding allowance of a Sturm count and of a bisection, in units of
-# (N + 1) eps (|T| + |x|): each is a few eps |T| (Kahan's backward error).
-_STURM_SLACK = 8
-# Elements of the (s, P) band grid that _sectors_reaching evaluates at once.
-_BAND_BLOCK = 2**16
+# Band elements that one dstebz call of _sectors_reaching covers.
+_BAND_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -149,77 +146,88 @@ def _bisect_lowest(params: ModelParams, sectors, e0: dict[int, float]) -> None:
         if p in e0:
             continue
         diag, off = sector_bands(params, p)
-        if off.size == 0:  # sector P = 0; the dstebz wrapper rejects an empty off-diagonal
-            e0[p] = float(diag[0])
-            continue
-        _, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, _BISECTION_ABSTOL, "E")
+        # the wrapper wants an off-diagonal of length >= 1 even when n = 1 (P = 0)
+        _, w, _, _, info = dstebz(diag, off if off.size else np.zeros(1), 2, 0.0, 0.0, 1, 1, _BISECTION_ABSTOL, "E")
         if info != 0:
             raise eigen.EigenError(f"bisection failed on sector P = {p} (info = {info})")
         e0[p] = float(w[0])
 
 
+@lru_cache(maxsize=1)
 def _band_norms(params: ModelParams):
-    """``(kappa, A, B, k)``: row s of every sector P has |d_s| <= A P + B,
-    A = omega_a + |lambda_z|, B = (omega_b + |u|) N/2 (as n <= P, |m| <= j),
-    and |e_s| <= K sqrt(P), K = max k_s, k_s = (g/sqrt(N)) sqrt((s+1)(N-s)),
-    so a Sturm count or a ``dstebz`` bisection at x errs by at most kappa
-    (A P + B + 2 K sqrt(P) + |x|).  kappa is twice the ``_STURM_SLACK``
-    allowance: the computed bands may exceed these bounds on the exact
-    ones by a relative few eps, which the factor 2 covers.
+    """``(kappa, A, B, k, s, a, b)`` for ``_search_stop`` and the screen,
+    cached for the last ``params``; the arrays are read-only.
+
+    Row s of sector P (n = P - s photons, m = s - N/2) has the diagonal
+    a_s n + b_s, a_s = omega_a + lambda_z m/j, b_s = omega_b m + u m^2/j,
+    and the off-diagonal k_s sqrt(n), k_s = (g/sqrt(N)) sqrt((s+1)(N-s)):
+    |d_s| <= A P + B, A = omega_a + |lambda_z|, B = (omega_b + |u|) N/2,
+    and |e_s| <= K sqrt(P), K = max k_s.  In units of the norm A P + B
+    + 2 K sqrt(P) + |x| at a shift x, kappa = 16 (N + 1) eps >= 32 eps
+    covers a few eps each for a Sturm count and a ``dstebz`` bisection
+    (Kahan's backward error) and, in the screen, 2 eps for dstebz's
+    splitting (it zeroes e_s^2 <= eps^2 |d_s d_{s+1}| + safe-min), 14 eps
+    for its separable bands against those of ``sector_bands`` (d within
+    8 and 6 eps (A P + B) of exact, e within 4 eps K sqrt(P) each), and
+    2 pivmin <= 2 safe-min max(1, K^2 P) for its pivmin.
     """
     N = params.n_atoms
     s = np.arange(N + 1.0)
+    m = s - N / 2
+    a = params.omega_a + (params.lambda_z / params.j) * m
+    b = (params.omega_b + (params.u / params.j) * m) * m
     k = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s))
-    kappa = 2 * _STURM_SLACK * (N + 1) * np.finfo(float).eps
-    return kappa, params.omega_a + abs(params.lambda_z), (params.omega_b + abs(params.u)) * N / 2, k
+    for row in (s, a, b, k):
+        row.flags.writeable = False
+    kappa = 16 * (N + 1) * np.finfo(float).eps
+    return kappa, params.omega_a + abs(params.lambda_z), (params.omega_b + abs(params.u)) * N / 2, k, s, a, b
 
 
 def _sectors_reaching(params: ModelParams, sectors, x: float) -> list[int]:
     """The sectors among ``sectors`` that may have an eigenvalue at or
-    below ``x``.
+    below ``x``: a sector left out has a bisected lowest eigenvalue above
+    ``x`` (see ``_band_norms`` for the slack kappa).
 
-    One Sturm count per sector, vectorized over P and looping over s,
-    follows LAPACK ``dlaebz``: pivots q_s = (d_s - e_{s-1}^2 / q_{s-1}) - y,
-    a pivot smaller in magnitude than pivmin = safe-min * max(1, K^2 P)
-    is replaced by -pivmin, and a pivot <= 0 counts an eigenvalue <= y.
-    At y = x + kappa (A P + B + 2 K sqrt(P) + |x|) (see ``_band_norms``) a
-    sector left out has a bisected lowest eigenvalue above ``x``.  The
-    bands are evaluated once, in blocks of about ``_BAND_BLOCK`` elements
-    of consecutive s, which bounds the memory at large N.
+    LAPACK ``dstebz`` (RANGE = 'V', VL = -inf, VU = y) takes the sectors'
+    bands end to end, N + 1 rows each, in calls of about ``_BAND_BLOCK``
+    elements; ``iblock`` and ``isplit`` name the sectors holding an
+    eigenvalue <= y.  Sectors end at exact-zero off-diagonals; padded rows
+    s > P get a diagonal above y, 1x1 blocks that never count.  Bands take
+    the separable form d = P a_s + (b_s - s a_s), e = k_s sqrt(P - s)+.
+    One y = x + kappa (A P + B + 2 K sqrt(P) + |x|) at the largest P serves
+    every call, so the calls cannot change the result.
     """
     p = np.asarray(sectors, dtype=int)
-    kappa, big_a, big_b, k = _band_norms(params)
-    e_max = k.max() * np.sqrt(p)
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, e_max**2)
-    y = x + kappa * (big_a * p + big_b + 2 * e_max + abs(x))
-    reaching = np.zeros(p.size, dtype=bool)
-    q = e2 = None
-    width = max(1, _BAND_BLOCK // max(p.size, 1))
-    for start in range(0, params.n_atoms + 1, width):
-        s = np.arange(start, min(start + width, params.n_atoms + 1))[:, np.newaxis]
-        diag, off = _band_grid(params, p, s)
-        # +inf on the padded diagonal makes the padded pivots +inf (the
-        # padded off-diagonal is 0), so they do not count.
-        diag[s > p] = np.inf
-        for d, e in zip(diag, off):
-            q = d - y if q is None else (d - e2 / q) - y
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            reaching |= q <= 0
-            e2 = e * e
-    return p[reaching].tolist()
+    rows = params.n_atoms + 1
+    kappa, big_a, big_b, k, s, a, b = _band_norms(params)
+    top = p.max(initial=0)
+    y = x + kappa * (big_a * top + big_b + 2 * k.max() * math.sqrt(top) + abs(x))
+    reaching = []
+    per_call = max(1, _BAND_BLOCK // rows)
+    for start in range(0, p.size, per_call):
+        chunk = p[start : start + per_call, np.newaxis]
+        n = chunk - s
+        diag = chunk * a + (b - s * a)
+        diag[n < 0] = 2 * abs(y) + 1
+        off = k * np.sqrt(np.maximum(n, 0.0))
+        found, _, iblock, isplit, info = dstebz(diag.ravel(), off.ravel()[:-1], 1, -np.inf, y, 0, 0, np.inf, "B")
+        if info != 0:
+            raise eigen.EigenError(f"Sturm count failed on sectors {chunk[0, 0]}..{chunk[-1, 0]} (info = {info})")
+        # isplit holds the last row of each block, 1-based
+        reaching.extend(chunk[np.unique((isplit[iblock[:found] - 1] - 1) // rows), 0].tolist())
+    return reaching
 
 
 def _search_stop(params: ModelParams, x: float) -> int:
     """A sector P_stop past which every sector's bisected lowest
     eigenvalue lies above ``x``.
 
-    Row s of sector P (n = P - s photons, m = s - N/2) has the diagonal
-    a_s n + b_s, with a_s = omega_a + lambda_z m/j and b_s = omega_b m
-    + u m^2/j, and off-diagonals below C_s sqrt(n + 1), C_s = k_{s-1} + k_s,
-    k_{-1} = 0.  Bisection undershoots the eigenvalue by at most kappa
-    (A P + B + 2 K sqrt(P) + |x|) (see ``_band_norms``).  With t = sqrt(n
-    + 1), P <= t^2 + N and sqrt(P) <= t + sqrt(N), Gershgorin's theorem
-    puts the bisected value above ``x`` once every row has
+    Row s of sector P has the diagonal a_s n + b_s and off-diagonals below
+    C_s sqrt(n + 1), C_s = k_{s-1} + k_s, k_{-1} = 0 (see
+    ``_band_norms``).  Bisection undershoots the eigenvalue by at most
+    kappa (A P + B + 2 K sqrt(P) + |x|).  With t = sqrt(n + 1), P <= t^2
+    + N and sqrt(P) <= t + sqrt(N), Gershgorin's theorem puts the bisected
+    value above ``x`` once every row has
 
         (a_s - kappa A) t^2 - (C_s + 2 kappa K) t
             - (x + a_s - b_s + kappa (A N + B + 2 K sqrt(N) + |x|)) > 0,
@@ -230,17 +238,14 @@ def _search_stop(params: ModelParams, x: float) -> int:
     a_s <= kappa A: omega_a <= |lambda_z| makes H unbounded below.
     """
     N = params.n_atoms
-    kappa, big_a, big_b, k = _band_norms(params)
-    s = np.arange(N + 1.0)
-    m = s - N / 2
-    a = params.omega_a + (params.lambda_z / params.j) * m
+    kappa, big_a, big_b, k, s, a, b = _band_norms(params)
     c = k + np.append(0.0, k[:-1])
     alpha = a - kappa * big_a
     if not alpha.min() > 0:
         raise ValueError(f"H is unbounded below: omega_a = {params.omega_a}, lambda_z = {params.lambda_z}")
     norms = big_a * N + big_b + 2 * k.max() * math.sqrt(N) + abs(x)
     beta = c + 2 * kappa * k.max()
-    gamma = a - (params.omega_b + (params.u / params.j) * m) * m + (x + kappa * norms)
+    gamma = a - b + (x + kappa * norms)
     t = (beta + np.sqrt(np.maximum(beta * beta + 4 * alpha * gamma, 0.0))) / (2 * alpha)
     return math.floor((s + t * t).max() * (1 + 1e-6))
 

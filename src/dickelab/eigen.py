@@ -109,18 +109,12 @@ def _solve(m: np.ndarray, bands):
         except np.linalg.LinAlgError as exc:
             raise EigenError(f"eigh failed to converge on a {m.shape[0]}x{m.shape[0]} matrix: {exc}") from exc
     d, e = bands
+    if e.all():  # one segment, no bookkeeping
+        return _dstevd(d, e)
     # segments end after each exact-zero off-diagonal
-    cuts = (np.flatnonzero(e == 0) + 1).tolist() if np.count_nonzero(e) < e.size else []
+    cuts = (np.flatnonzero(e == 0) + 1).tolist()
     segments = list(zip([0, *cuts], [*cuts, d.size]))
-    parts = []
-    for a, b in segments:
-        # the wrapper wants an off-diagonal of length >= 1 even when n = 1
-        vals, vecs, info = dstevd(d[a:b], e[a : b - 1] if b - a > 1 else np.zeros(1))
-        if info != 0:
-            raise EigenError(f"dstevd failed on a {b - a}x{b - a} matrix (info = {info})")
-        parts.append((vals, vecs))
-    if len(parts) == 1:
-        return vals, np.ascontiguousarray(vecs)
+    parts = [_dstevd(d[a:b], e[a : b - 1]) for a, b in segments]
     # Merge ascending, ties in segment order; each segment's vectors keep
     # exact zeros outside its rows.
     vals = np.concatenate([part[0] for part in parts])
@@ -129,6 +123,14 @@ def _solve(m: np.ndarray, bands):
         vecs[a:b, a:b] = seg_vecs
     order = np.argsort(vals, kind="stable")
     return vals[order], np.ascontiguousarray(vecs[:, order])
+
+
+def _dstevd(d, e):
+    # the wrapper wants an off-diagonal of length >= 1 even when n = 1
+    vals, vecs, info = dstevd(d, e if e.size else np.zeros(1))
+    if info != 0:
+        raise EigenError(f"dstevd failed on a {d.size}x{d.size} matrix (info = {info})")
+    return vals, np.ascontiguousarray(vecs)
 
 
 def eigh(m: np.ndarray, tol: float = 1e-8) -> EigenDecomposition:
@@ -198,7 +200,8 @@ def _ortho_defect_array(vecs) -> float:
     if vecs.size == 0:
         return 0.0
     gram = vecs.T @ vecs
-    return float(np.abs(gram - np.eye(gram.shape[0])).max())
+    gram.ravel()[:: gram.shape[0] + 1] -= 1.0  # V'V - I
+    return float(np.abs(gram).max())
 
 
 def residual(m: np.ndarray, d: EigenDecomposition) -> float:

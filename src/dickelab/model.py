@@ -21,12 +21,12 @@ non-negative (a global gauge choice that leaves spectra and squared
 amplitudes unchanged).
 
 A sector is given by its tridiagonal bands (``sector_bands``, or dense
-``build_sector_hamiltonian``; ``_band_grid`` evaluates them over a grid
-of sectors at once), the truncated full basis by
+``build_sector_hamiltonian``), the truncated full basis by
 ``build_full_hamiltonian`` and its two ``parity_blocks``.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +73,10 @@ class ModelParams:
     n_atoms: int = 1
 
     def __post_init__(self):
-        # bool is an int subclass: True would pass as N = 1 or as 1.0
+        # bool is an int subclass (True would pass as 1); an array would be unhashable
         for name in ("omega_a", "omega_b", "g", "g_prime", "lambda_z", "u"):
             value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.omega_a > 0:
             raise ValueError(f"omega_a must be positive, got {self.omega_a}")
@@ -87,7 +87,7 @@ class ModelParams:
         if self.g_prime < 0:
             raise ValueError(f"g_prime must be non-negative, got {self.g_prime}")
         n = self.n_atoms
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"n_atoms must be an integer >= 1, got {n!r}")
 
     @property
@@ -149,9 +149,8 @@ class FullBasis:
         return np.where((n + s) % 2 == 0, 1, -1)
 
 
-def _band_grid(params: ModelParams, p, s) -> tuple[np.ndarray, np.ndarray]:
-    """Band elements H[s, s] and H[s, s+1] of the sector P, elementwise
-    over integer arrays ``p`` and ``s`` (0..N) broadcast against each other.
+def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(diag, offdiag)`` of the sector P, of lengths dim and dim - 1.
 
     Requires g' = 0; the counter-rotating term breaks the U(1) symmetry
     that defines the sectors.  Matrix elements follow a|n> = sqrt(n)|n-1>
@@ -160,14 +159,13 @@ def _band_grid(params: ModelParams, p, s) -> tuple[np.ndarray, np.ndarray]:
         H[s, s]   = omega_a (P-s) + omega_b m
                     + lambda_z m (P-s)/j + u m^2/j
         H[s, s+1] = (g/sqrt(N)) sqrt((s+1)(N-s)) sqrt(P-s)
-
-    Elements past a sector's dimension (s >= dim on the diagonal,
-    s >= dim - 1 off it) are padding; the off-diagonal padding is 0.
     """
+    dim = SectorBasis(p=p, n_atoms=params.n_atoms).dim
     if params.g_prime != 0:
         raise ValueError("excitation sectors exist only for g_prime = 0")
     N = params.n_atoms
     j = params.j
+    s = np.arange(dim)
     m = s - N / 2
     n = p - s
     diag = (
@@ -176,25 +174,17 @@ def _band_grid(params: ModelParams, p, s) -> tuple[np.ndarray, np.ndarray]:
         + params.lambda_z * m * n / j
         + params.u * m**2 / j
     )
-    # P - s < 0 only past a sector's dimension, where the padding is 0
-    off = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s)) * np.sqrt(np.maximum(n, 0))
+    off = (params.g / math.sqrt(N)) * np.sqrt((s[:-1] + 1) * (N - s[:-1])) * np.sqrt(n[:-1])
     return diag, off
-
-
-def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(diag, offdiag)`` of the sector P, of lengths dim and dim - 1; see ``_band_grid``."""
-    dim = SectorBasis(p=p, n_atoms=params.n_atoms).dim
-    diag, off = _band_grid(params, p, np.arange(dim))
-    return diag, off[: dim - 1]
 
 
 def build_sector_hamiltonian(params: ModelParams, p: int) -> np.ndarray:
     """Dense symmetric form of ``sector_bands(params, p)``."""
     diag, off = sector_bands(params, p)
-    h = np.diag(diag)
-    rows = np.arange(off.size)
-    h[rows, rows + 1] = off
-    h[rows + 1, rows] = off
+    h = np.zeros((diag.size, diag.size))
+    # strided views of the row-major entries: h[i, i], h[i, i + 1], h[i + 1, i]
+    for start, band in ((0, diag), (1, off), (diag.size, off)):
+        h.ravel()[start :: diag.size + 1] = band
     return h
 
 

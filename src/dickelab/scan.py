@@ -47,6 +47,8 @@ QUANTITIES = ("spectrum", "goldstone", "higgs", "optical", "weights", "mandel", 
 FORMATS = ("csv", "json")
 NEAR_QCP_P_STAR = 3  # rows below this ground sector are flagged near the transition
 _MASKED_QUANTITIES = ("goldstone", "optical")  # masking applies to E_G and E_o enforcement
+# The quantity column of the rows a scan writes: "weights" writes c_g, c_o and c_h.
+_ROW_QUANTITIES = ("spectrum", "goldstone", "higgs", "optical", "c_g", "c_o", "c_h", "mandel", "anomalous")
 REL_DEV_FLOOR = 1e-12
 
 # Engineering bands for `compare`, fixed at every N with no 1/N allowance.

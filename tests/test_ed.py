@@ -89,6 +89,49 @@ def test_staircase_monotone_unit_steps():
     assert set(steps.tolist()) <= {0, 1}
 
 
+# ground_state_scan at N = 5 on resonance, g/g_c = 0.5, 0.6, ..., 3.0:
+# (P*, ground energy, E_G, E_H, E_o) as float hex.
+N5_STAIRCASE_HEX = [
+    (0, "-0x1.4000000000000p+1", "0x1.0000000000000p-1", None, "0x1.8000000000000p+0"),
+    (0, "-0x1.4000000000000p+1", "0x1.9999999999998p-2", None, "0x1.999999999999ap+0"),
+    (0, "-0x1.4000000000000p+1", "0x1.3333333333330p-2", None, "0x1.b333333333333p+0"),
+    (0, "-0x1.4000000000000p+1", "0x1.99999999999a0p-3", None, "0x1.ccccccccccccdp+0"),
+    (0, "-0x1.4000000000000p+1", "0x1.99999999999a0p-4", None, "0x1.e666666666666p+0"),
+    (0, "-0x1.4000000000000p+1", "0x0.0p+0", None, "0x1.0000000000000p+1"),
+    (1, "-0x1.4cccccccccccdp+1", "0x1.a699bb7908700p-7", "0x1.199999999999ap+1", "0x1.0ccccccccccccp+1"),
+    (2, "-0x1.636f7d87441c0p+1", "0x1.6c30c164c4e80p-5", "0x1.236f7d87441c0p+1", "0x1.1eed18e226ff5p+1"),
+    (3, "-0x1.80394a0c7fc93p+1", "0x1.666d130aed860p-4", "0x1.30ac07aef594dp+1", "0x1.3ab34d60d80a8p+1"),
+    (3, "-0x1.a2b3d9974e89ep+1", "0x1.1bae796a26a80p-6", "0x1.481bb981573dbp+1", "0x1.490fdd2d376ddp+1"),
+    (4, "-0x1.cbf317d4cc1c5p+1", "0x1.1e515ba4d5aa0p-4", "0x1.5e311bac45a2dp+1", "0x1.74875f0215246p+1"),
+    (4, "-0x1.f769b3051dfc5p+1", "0x1.02b6413a52f00p-7", "0x1.7589b71e28257p+1", "0x1.84d4a99bd2496p+1"),
+    (5, "-0x1.14e6b64810f22p+2", "0x1.dec9fae1e0100p-5", "0x1.9c0f129041762p+1", "0x1.bfd3bba00dda2p+1"),
+    (5, "-0x1.2e99ee2e300f4p+2", "0x1.91218b2ed2000p-9", "0x1.b44c31c5eaf54p+1", "0x1.d2a3f3d6a540cp+1"),
+    (6, "-0x1.4ba671a74737ap+2", "0x1.7b6e7b3ae6780p-5", "0x1.ec26c3332cbe4p+1", "0x1.0b15b055470a7p+2"),
+    (7, "-0x1.69249c843ac12p+2", "0x1.402cdb4ed1380p-4", "0x1.1605802de9ba0p+2", "0x1.2e6a1947a5e16p+2"),
+    (7, "-0x1.8999a457a4177p+2", "0x1.06c49958b7880p-5", "0x1.23ec2cfd02364p+2", "0x1.3a55cdbe6e2c6p+2"),
+    (8, "-0x1.aaf44d32e5d55p+2", "0x1.e0da40df97f80p-5", "0x1.4727233d0edeep+2", "0x1.5fe49ecd3566dp+2"),
+    (8, "-0x1.ce5c7f40d9022p+2", "0x1.04b11347e1200p-6", "0x1.560601ee6100cp+2", "0x1.6cfaa60514ec0p+2"),
+    (9, "-0x1.f37d03a9fb9cep+2", "0x1.3a5bf7fdab600p-5", "0x1.7bc8ff9823dedp+2", "0x1.947397125a109p+2"),
+    (10, "-0x1.0cdefcc6357a1p+3", "0x1.c4d6d0e00ae00p-5", "0x1.a2bed31922acep+2", "0x1.bc9e25942e9c0p+2"),
+    (10, "-0x1.2139d3af6ad0cp+3", "0x1.1e8b9dfaf7000p-6", "0x1.b37ec70fe69efp+2", "0x1.cbd7ac33b597cp+2"),
+    (11, "-0x1.363af5cb853acp+3", "0x1.0730263c94800p-5", "0x1.dc5dc93906ba3p+2", "0x1.f5ad5a9e4508fp+2"),
+    (12, "-0x1.4be9d672843a8p+3", "0x1.6263b9e2a1a00p-5", "0x1.031010047cacep+3", "0x1.10135d2752fd0p+3"),
+    (12, "-0x1.629fe73fbfceap+3", "0x1.29e64b3d2d000p-7", "0x1.0c50a2e01369ap+3", "0x1.18a6575671614p+3"),
+    (13, "-0x1.7a2368a13f6cep+3", "0x1.365e767fd3000p-6", "0x1.2206c219d3cfbp+3", "0x1.2ea93beef8262p+3"),
+]
+
+
+def test_ground_scan_reproduces_the_recorded_n5_staircase():
+    template = ModelParams(n_atoms=5)
+    g = (np.linspace(0.5, 3.0, 26) * critical_coupling(template)).tolist()
+    got = [
+        (pt.p_star, *(None if v is None else float(v).hex()
+                      for v in (pt.ground_energy, pt.e_goldstone, pt.e_higgs, pt.e_optical)))
+        for pt in ground_state_scan(template, g)
+    ]
+    assert got == N5_STAIRCASE_HEX
+
+
 def test_ground_scan_rejects_bad_grids():
     params = ModelParams(omega_a=1, omega_b=1, g=1.0, n_atoms=2)
     with pytest.raises(ValueError):
@@ -480,24 +523,80 @@ def test_sectors_past_the_search_stop_lie_above_the_best_energy(template):
             assert all(e0[p] > x for p in range(stop + 1, stop + 201))
 
 
+def _dlaebz_screen(params, sectors, x):
+    """Reference for ``ed._sectors_reaching``: one Sturm count per sector in
+    numpy, vectorized over P and looping over s, following LAPACK
+    ``dlaebz``.  Pivots q_s = (d_s - e_{s-1}^2 / q_{s-1}) - y with the
+    sector's own y = x + kappa (A P + B + 2 K sqrt(P) + |x|); a pivot
+    smaller in magnitude than pivmin = safe-min max(1, K^2 P) is replaced
+    by -pivmin, and a pivot <= 0 counts an eigenvalue <= y."""
+    p = np.asarray(sectors, dtype=int)
+    kappa, big_a, big_b, k = ed._band_norms(params)[:4]
+    e_max = k.max() * np.sqrt(p)
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, e_max**2)
+    y = x + kappa * (big_a * p + big_b + 2 * e_max + abs(x))
+    # rows s of every sector, padded past its dimension with +inf on the
+    # diagonal and 0 off it, so padded pivots are +inf and do not count
+    diag = np.full((params.n_atoms + 1, p.size), np.inf)
+    off = np.zeros((params.n_atoms + 1, p.size))
+    for i, sector in enumerate(p.tolist()):
+        d, e = sector_bands(params, sector)
+        diag[: d.size, i], off[: e.size, i] = d, e
+    reaching = np.zeros(p.size, dtype=bool)
+    q = e2 = None
+    for d, e in zip(diag, off):
+        q = d - y if q is None else (d - e2 / q) - y
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        reaching |= q <= 0
+        e2 = e * e
+    return p[reaching].tolist()
+
+
+@pytest.mark.parametrize(
+    "template",
+    EQUIVALENCE_TEMPLATES
+    + [ModelParams(lambda_z=0.9, n_atoms=6), ModelParams(lambda_z=-0.9, n_atoms=6), ModelParams(n_atoms=200)],
+    ids=["N1", "N2", "N3", "N5", "N8", "N3-detuned", "N4-lambda_z", "N4-u", "N3-lambda_z-u",
+         "N6-lambda_z+0.9", "N6-lambda_z-0.9", "N200"],
+)
+def test_screen_matches_the_dlaebz_recurrence(template):
+    # ratio 0 is g = 0, where every sector is diagonal
+    gc = critical_coupling(template)
+    for ratio in (0.0, 0.5, 1.0, 1.7, 2.0, 3.0):
+        params = replace(template, g=ratio * gc)
+        guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
+        e0 = {}
+        ed._bisect_lowest(params, [guess], e0)
+        for shift in (1e-12, 0.3, 5.0):
+            x = e0[guess] + shift
+            sectors = range(ed._search_stop(params, x) + 1)
+            assert ed._sectors_reaching(params, sectors, x) == _dlaebz_screen(params, sectors, x)
+
+
 def test_sturm_count_survives_an_exactly_zero_pivot():
     # at g = 0 the off-diagonals vanish and the pivot of row s is d_s - y;
     # a count shifted exactly onto a diagonal entry makes that pivot 0, and
     # the next row divides 0 by it unless the dlaebz pivmin rule replaced it
     params = ModelParams(omega_b=1.3, n_atoms=3)
     diag = sector_bands(params, 4)[0]
-    kappa, big_a, big_b, k = ed._band_norms(params)
+    kappa, big_a, big_b, k, s, a, b = ed._band_norms(params)
     assert k.max() == 0.0
+    # the screen's separable diagonal of sector 4 is bit-identical here
+    assert np.array_equal(4 * a + (b - s * a), diag)
 
-    def shifted(x):  # the y of _sectors_reaching for sector 4 (K = 0)
-        return x + kappa * (big_a * 4 + big_b + abs(x))
+    def shifted(x):  # the y of _sectors_reaching over range(6): P = 5, K = 0
+        return x + kappa * (big_a * 5 + big_b + abs(x))
 
-    x = diag[1]
-    while shifted(x) > diag[1]:
-        x = np.nextafter(x, -np.inf)
-    assert shifted(x) == diag[1]
-    with np.errstate(divide="raise", invalid="raise"):
-        assert ed._sectors_reaching(params, range(6), x) == [0, 1, 2, 3, 4]
+    # row 1 is the zero pivot the recurrence must survive; on row 0, the
+    # lowest eigenvalue of sector 4, only a y taken at P = 5 keeps sector 4
+    for row in (1, 0):
+        x = diag[row]
+        while shifted(x) > diag[row]:
+            x = np.nextafter(x, -np.inf)
+        assert shifted(x) == diag[row]
+        with np.errstate(divide="raise", invalid="raise"):
+            assert ed._sectors_reaching(params, range(6), x) == [0, 1, 2, 3, 4]
+    assert _dlaebz_screen(params, range(6), x) == [0, 1, 2, 3]  # its y for sector 4 is smaller
 
 
 def _single_qubit_energies(params, p):
@@ -563,11 +662,11 @@ def test_screen_does_not_depend_on_blocking(monkeypatch, template, ratio, shift)
     ed._bisect_lowest(params, [guess], e0)
     for x in (e0[guess] + 1e-12, e0[guess] + shift):
         sectors = range(ed._search_stop(params, x) + 1)
-        # the default evaluates the grid in one block, except at N = 200
-        # and x + 5, whose grid of 201 s-rows spans several blocks
+        # the default lays every sector end to end in one dstebz call,
+        # except at N = 200, whose 201-row sectors take several calls
         expected = ed._sectors_reaching(params, sectors, x)
         with monkeypatch.context() as patch:
-            patch.setattr(ed, "_BAND_BLOCK", 1)  # one s-row per block
+            patch.setattr(ed, "_BAND_BLOCK", 1)  # one sector per call
             assert ed._sectors_reaching(params, sectors, x) == expected
         assert guess in expected
 

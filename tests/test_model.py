@@ -37,6 +37,20 @@ def test_params_reject_booleans(name, value):
         ModelParams(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["omega_a", "omega_b", "g", "g_prime", "lambda_z", "u", "n_atoms"])
+@pytest.mark.parametrize("value", [np.array([1.0]), np.array(1.0), "1", None, 1 + 0j, [1.0]])
+def test_params_reject_non_scalars(name, value):
+    # an array used to build an unhashable params object and a string to
+    # fail inside numpy with a TypeError that named no field
+    with pytest.raises(ValueError, match=f"{name} must be an? (finite number|integer)"):
+        ModelParams(**{name: value})
+
+
+def test_params_accept_numpy_scalars_and_stay_hashable():
+    params = ModelParams(omega_a=np.float64(1.5), g=np.float32(0.5), u=-1, n_atoms=np.int64(3))
+    assert hash(params) == hash(ModelParams(omega_a=1.5, g=0.5, u=-1.0, n_atoms=3))
+
+
 @pytest.mark.parametrize(
     "n_atoms, p, expected",
     [(5, 3, 4), (3, 7, 4), (1, 0, 1), (4, 4, 5), (2, 100, 3)],

@@ -6,6 +6,8 @@ import pytest
 
 from dickelab.cli import main
 from dickelab.scan import (
+    _ROW_QUANTITIES,
+    QUANTITIES,
     ComparisonRow,
     ConfigError,
     compare_report,
@@ -354,3 +356,27 @@ def test_cli_compare_rejects_invalid_thresholds(tmp_path, capsys, value):
     assert main(["compare", str(tmp_path / "out"), "--thresholds", str(thresholds)]) == 2
     err = capsys.readouterr().err
     assert "'higgs'" in err and "'mandel'" not in err
+
+
+def test_cli_compare_rejects_a_threshold_key_that_names_no_quantity(tmp_path, capsys):
+    # a misspelled key used to enforce nothing: "optcal" printed
+    # "overall: pass" and exited 0
+    cfg = _write_config(tmp_path, quantities=["higgs", "optical"])
+    assert main(["scan", str(cfg)]) == 0
+    capsys.readouterr()
+    thresholds = tmp_path / "thresholds.json"
+    thresholds.write_text(json.dumps({"optical": 0.5, "optcal": 1e-9}))
+    assert main(["compare", str(tmp_path / "out"), "--thresholds", str(thresholds)]) == 2
+    err = capsys.readouterr().err
+    assert "'optcal'" in err and "'optical'" not in err
+
+
+def test_row_quantities_are_the_quantities_a_scan_writes(tmp_path):
+    cfg = _config_dict(
+        tmp_path,
+        model={"omega_a": 1.0, "omega_b": 1.0, "n_atoms": 2},
+        grid=[2.0],
+        quantities=list(QUANTITIES),
+    )
+    run_scan(parse_config(cfg))
+    assert {row.quantity for row in load_rows(tmp_path / "out")} == set(_ROW_QUANTITIES)
