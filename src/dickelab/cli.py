@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .oracle import oracle_check
-from .scan import _ROW_QUANTITIES, ConfigError, _number, compare_report, load_rows, parse_config, run_scan
+from .scan import ConfigError, compare_report, load_rows, parse_config, parse_thresholds, run_scan
 
 ORACLE_TOL = 1e-10
 ORACLE_NMAX = 6
@@ -36,18 +36,12 @@ def _cmd_compare(args) -> int:
     thresholds = None
     if args.thresholds is not None:
         try:
-            thresholds = json.loads(Path(args.thresholds).read_text(encoding="utf-8"))
+            thresholds = parse_thresholds(json.loads(Path(args.thresholds).read_text(encoding="utf-8")))
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read thresholds: {exc}", file=sys.stderr)
             return 2
-        if not isinstance(thresholds, dict):
-            print("thresholds file must be a JSON object {quantity: max_rel_deviation}", file=sys.stderr)
-            return 2
-        errors = [f"threshold key {key!r} names no scan quantity" for key in thresholds if key not in _ROW_QUANTITIES]
-        thresholds = {key: _number(errors, value, 0, f"threshold {key!r} must be a finite number > 0")
-                      for key, value in thresholds.items()}
-        if errors:
-            print("invalid thresholds: " + "; ".join(errors), file=sys.stderr)
+        except ConfigError as exc:
+            print("invalid thresholds: " + "; ".join(exc.errors), file=sys.stderr)
             return 2
     try:
         rows = load_rows(args.data_dir)

@@ -21,7 +21,6 @@ at g = 0) at its zeros, so eigenvectors are exactly zero off their chain.
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dstebz
@@ -62,7 +61,7 @@ _BISECTION_ABSTOL = 2 * np.finfo(float).tiny
 # Sectors whose ground energies differ by at most this are tied; P* is the
 # smaller one.
 _TIE_WINDOW = 1e-12
-# Band elements that one dstebz call of _sectors_reaching covers.
+# Band elements that one dstebz call of _candidate_sectors covers.
 _BAND_BLOCK = 2**14
 
 
@@ -153,10 +152,10 @@ def _bisect_lowest(params: ModelParams, sectors, e0: dict[int, float]) -> None:
         e0[p] = float(w[0])
 
 
-@lru_cache(maxsize=1)
-def _band_norms(params: ModelParams):
-    """``(kappa, A, B, k, s, a, b)`` for ``_search_stop`` and the screen,
-    cached for the last ``params``; the arrays are read-only.
+def _candidate_sectors(params: ModelParams, x: float) -> tuple[list[int], int]:
+    """``(sectors, p_stop)``: a sector P_stop past which every sector's
+    bisected lowest eigenvalue lies above ``x``, and the sectors in
+    0..P_stop that may have one at or below ``x``: the others do not.
 
     Row s of sector P (n = P - s photons, m = s - N/2) has the diagonal
     a_s n + b_s, a_s = omega_a + lambda_z m/j, b_s = omega_b m + u m^2/j,
@@ -165,11 +164,36 @@ def _band_norms(params: ModelParams):
     and |e_s| <= K sqrt(P), K = max k_s.  In units of the norm A P + B
     + 2 K sqrt(P) + |x| at a shift x, kappa = 16 (N + 1) eps >= 32 eps
     covers a few eps each for a Sturm count and a ``dstebz`` bisection
-    (Kahan's backward error) and, in the screen, 2 eps for dstebz's
+    (Kahan's backward error) and, in the count, 2 eps for dstebz's
     splitting (it zeroes e_s^2 <= eps^2 |d_s d_{s+1}| + safe-min), 14 eps
     for its separable bands against those of ``sector_bands`` (d within
     8 and 6 eps (A P + B) of exact, e within 4 eps K sqrt(P) each), and
     2 pivmin <= 2 safe-min max(1, K^2 P) for its pivmin.
+
+    The stop: off-diagonals of row s lie below C_s sqrt(n + 1), C_s =
+    k_{s-1} + k_s, k_{-1} = 0.  With t = sqrt(n + 1), P <= t^2 + N and
+    sqrt(P) <= t + sqrt(N), Gershgorin's theorem puts the bisected value
+    above ``x`` once every row has
+
+        (a_s - kappa A) t^2 - (C_s + 2 kappa K) t
+            - (x + a_s - b_s + kappa (A N + B + 2 K sqrt(N) + |x|)) > 0,
+
+    i.e. t > T_s, the larger root, i.e. P > s + T_s^2 - 1.  P_stop =
+    floor((1 + 1e-6) max_s (s + T_s^2)) adds one sector and a relative 1e-6
+    for the O(sqrt(eps)) rounding of T_s^2.
+
+    The count: LAPACK ``dstebz`` (RANGE = 'V', VL = -inf, VU = y) takes
+    the bands of sectors 0..P_stop end to end, N + 1 rows each, in calls
+    of about ``_BAND_BLOCK`` elements; ``iblock`` and ``isplit`` name the
+    sectors holding an eigenvalue <= y.  Sectors end at exact-zero
+    off-diagonals; padded rows s > P get a diagonal above y, 1x1 blocks
+    that never count.  Bands take the separable form d = P a_s + (b_s -
+    s a_s), e = k_s sqrt(P - s)+.  One y = x + kappa (A P + B + 2 K sqrt(P)
+    + |x|) at P = P_stop serves every call, so the calls cannot change the
+    result.
+
+    Raises ValueError if some a_s <= kappa A: omega_a <= |lambda_z| makes
+    H unbounded below.
     """
     N = params.n_atoms
     s = np.arange(N + 1.0)
@@ -177,33 +201,23 @@ def _band_norms(params: ModelParams):
     a = params.omega_a + (params.lambda_z / params.j) * m
     b = (params.omega_b + (params.u / params.j) * m) * m
     k = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s))
-    for row in (s, a, b, k):
-        row.flags.writeable = False
     kappa = 16 * (N + 1) * np.finfo(float).eps
-    return kappa, params.omega_a + abs(params.lambda_z), (params.omega_b + abs(params.u)) * N / 2, k, s, a, b
+    big_a = params.omega_a + abs(params.lambda_z)
+    big_b = (params.omega_b + abs(params.u)) * N / 2
+    big_k = k.max()
 
+    alpha = a - kappa * big_a
+    if not alpha.min() > 0:
+        raise ValueError(f"H is unbounded below: omega_a = {params.omega_a}, lambda_z = {params.lambda_z}")
+    beta = k + np.append(0.0, k[:-1]) + 2 * kappa * big_k
+    gamma = a - b + (x + kappa * (big_a * N + big_b + 2 * big_k * math.sqrt(N) + abs(x)))
+    t = (beta + np.sqrt(np.maximum(beta * beta + 4 * alpha * gamma, 0.0))) / (2 * alpha)
+    p_stop = math.floor((s + t * t).max() * (1 + 1e-6))
 
-def _sectors_reaching(params: ModelParams, sectors, x: float) -> list[int]:
-    """The sectors among ``sectors`` that may have an eigenvalue at or
-    below ``x``: a sector left out has a bisected lowest eigenvalue above
-    ``x`` (see ``_band_norms`` for the slack kappa).
-
-    LAPACK ``dstebz`` (RANGE = 'V', VL = -inf, VU = y) takes the sectors'
-    bands end to end, N + 1 rows each, in calls of about ``_BAND_BLOCK``
-    elements; ``iblock`` and ``isplit`` name the sectors holding an
-    eigenvalue <= y.  Sectors end at exact-zero off-diagonals; padded rows
-    s > P get a diagonal above y, 1x1 blocks that never count.  Bands take
-    the separable form d = P a_s + (b_s - s a_s), e = k_s sqrt(P - s)+.
-    One y = x + kappa (A P + B + 2 K sqrt(P) + |x|) at the largest P serves
-    every call, so the calls cannot change the result.
-    """
-    p = np.asarray(sectors, dtype=int)
-    rows = params.n_atoms + 1
-    kappa, big_a, big_b, k, s, a, b = _band_norms(params)
-    top = p.max(initial=0)
-    y = x + kappa * (big_a * top + big_b + 2 * k.max() * math.sqrt(top) + abs(x))
+    y = x + kappa * (big_a * p_stop + big_b + 2 * big_k * math.sqrt(p_stop) + abs(x))
+    p = np.arange(p_stop + 1)
+    per_call = max(1, _BAND_BLOCK // (N + 1))
     reaching = []
-    per_call = max(1, _BAND_BLOCK // rows)
     for start in range(0, p.size, per_call):
         chunk = p[start : start + per_call, np.newaxis]
         n = chunk - s
@@ -214,40 +228,8 @@ def _sectors_reaching(params: ModelParams, sectors, x: float) -> list[int]:
         if info != 0:
             raise eigen.EigenError(f"Sturm count failed on sectors {chunk[0, 0]}..{chunk[-1, 0]} (info = {info})")
         # isplit holds the last row of each block, 1-based
-        reaching.extend(chunk[np.unique((isplit[iblock[:found] - 1] - 1) // rows), 0].tolist())
-    return reaching
-
-
-def _search_stop(params: ModelParams, x: float) -> int:
-    """A sector P_stop past which every sector's bisected lowest
-    eigenvalue lies above ``x``.
-
-    Row s of sector P has the diagonal a_s n + b_s and off-diagonals below
-    C_s sqrt(n + 1), C_s = k_{s-1} + k_s, k_{-1} = 0 (see
-    ``_band_norms``).  Bisection undershoots the eigenvalue by at most
-    kappa (A P + B + 2 K sqrt(P) + |x|).  With t = sqrt(n + 1), P <= t^2
-    + N and sqrt(P) <= t + sqrt(N), Gershgorin's theorem puts the bisected
-    value above ``x`` once every row has
-
-        (a_s - kappa A) t^2 - (C_s + 2 kappa K) t
-            - (x + a_s - b_s + kappa (A N + B + 2 K sqrt(N) + |x|)) > 0,
-
-    i.e. t > T_s, the larger root, i.e. P > s + T_s^2 - 1.  P_stop =
-    floor((1 + 1e-6) max_s (s + T_s^2)) adds one sector and a relative 1e-6
-    for the O(sqrt(eps)) rounding of T_s^2.  Raises ValueError if some
-    a_s <= kappa A: omega_a <= |lambda_z| makes H unbounded below.
-    """
-    N = params.n_atoms
-    kappa, big_a, big_b, k, s, a, b = _band_norms(params)
-    c = k + np.append(0.0, k[:-1])
-    alpha = a - kappa * big_a
-    if not alpha.min() > 0:
-        raise ValueError(f"H is unbounded below: omega_a = {params.omega_a}, lambda_z = {params.lambda_z}")
-    norms = big_a * N + big_b + 2 * k.max() * math.sqrt(N) + abs(x)
-    beta = c + 2 * kappa * k.max()
-    gamma = a - b + (x + kappa * norms)
-    t = (beta + np.sqrt(np.maximum(beta * beta + 4 * alpha * gamma, 0.0))) / (2 * alpha)
-    return math.floor((s + t * t).max() * (1 + 1e-6))
+        reaching.extend(chunk[np.unique((isplit[iblock[:found] - 1] - 1) // (N + 1)), 0].tolist())
+    return reaching, p_stop
 
 
 def solve_ground(params: ModelParams, tol: float = DEFAULT_EIGEN_TOL) -> GroundSolve:
@@ -257,13 +239,13 @@ def solve_ground(params: ModelParams, tol: float = DEFAULT_EIGEN_TOL) -> GroundS
     to the smaller P).  The lowest eigenvalue of a sector is found by
     bisection, but only for the sectors that can matter: one sector near
     the condensate occupation, ceil(lambda_+^2 - 1/2), is bisected first;
-    a Gershgorin bound on the bands (``_search_stop``) then proves that no
-    sector past P_stop lies within the tie window of that energy, and a
-    Sturm count over 0..P_stop proves which of those may.  Only those, and
-    P*+1, are bisected, so P* is the one an exhaustive bisection of every
-    sector would pick.  Only sectors P* and P*+1 get the full certified
-    decomposition, and their certified ground energies must match the
-    bisection values.
+    one call of ``_candidate_sectors`` then proves, by a Gershgorin bound
+    on the bands, that no sector past P_stop lies within the tie window
+    of that energy and, by a Sturm count over 0..P_stop, which of those
+    may.  Only those, and P*+1, are bisected, so P* is the one an
+    exhaustive bisection of every sector would pick.  Only sectors P* and
+    P*+1 get the full certified decomposition, and their certified ground
+    energies must match the bisection values.
 
     Raises
     ------
@@ -278,7 +260,7 @@ def solve_ground(params: ModelParams, tol: float = DEFAULT_EIGEN_TOL) -> GroundS
     e0: dict[int, float] = {}
     _bisect_lowest(params, [guess], e0)
     x = e0[guess] + _TIE_WINDOW
-    _bisect_lowest(params, _sectors_reaching(params, range(_search_stop(params, x) + 1), x), e0)
+    _bisect_lowest(params, _candidate_sectors(params, x)[0], e0)
     e_min = min(e0.values())
     p_star = min(p for p, e in e0.items() if e <= e_min + _TIE_WINDOW)
     _bisect_lowest(params, [p_star + 1], e0)

@@ -77,6 +77,14 @@ def _bands(m: np.ndarray):
     return d, e
 
 
+def _real(m) -> np.ndarray:
+    """``m`` as a float array; complex input, which a cast would make real, raises."""
+    m = np.asarray(m)
+    if m.dtype.kind == "c":
+        raise ValueError("expected a real matrix, got complex input")
+    return m.astype(float, copy=False)
+
+
 def _check_symmetric(m: np.ndarray):
     """The scale max|m_ij| of a square, finite, symmetric ``m`` and its
     bands ``(d, e)`` if it is tridiagonal (else None)."""
@@ -160,14 +168,14 @@ def eigh(m: np.ndarray, tol: float = 1e-8) -> EigenDecomposition:
     Raises
     ------
     ValueError
-        Non-square, non-finite or non-symmetric input.
+        Complex, non-square, non-finite or non-symmetric input.
     EigenError
         LAPACK failed to converge, or the recomputed residual or the
         orthonormality defect exceeds its bound.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    m = np.asarray(m, dtype=float)
+    m = _real(m)
     scale, bands = _check_symmetric(m)
     vals, vecs = _solve(m, bands)
     max_res = _residual_arrays(m, bands, vals, vecs)
@@ -206,7 +214,7 @@ def _ortho_defect_array(vecs) -> float:
 
 def residual(m: np.ndarray, d: EigenDecomposition) -> float:
     """Recompute max_i ||H v_i - lambda_i v_i||_2 independently of eigh."""
-    m = np.asarray(m, dtype=float)
+    m = _real(m)
     if m.shape != d.eigenvectors.shape:
         raise ValueError(f"dimension mismatch: matrix {m.shape} vs eigenvectors {d.eigenvectors.shape}")
     return _residual_arrays(m, _bands(m), d.eigenvalues, d.eigenvectors)

@@ -42,6 +42,14 @@ __all__ = [
 ]
 
 
+def _require_count(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is a ``numbers.Integral`` >= ``low``
+    other than bool (an int subclass: True would pass as 1)."""
+    # the type test is a fast path: an ABC isinstance check costs far more
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical couplings of a run; the single source of truth.
@@ -86,9 +94,7 @@ class ModelParams:
             raise ValueError(f"g must be non-negative, got {self.g}")
         if self.g_prime < 0:
             raise ValueError(f"g_prime must be non-negative, got {self.g_prime}")
-        n = self.n_atoms
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"n_atoms must be an integer >= 1, got {n!r}")
+        _require_count("n_atoms", self.n_atoms, 1)
 
     @property
     def j(self) -> float:
@@ -108,10 +114,8 @@ class SectorBasis:
     n_atoms: int
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError(f"sector label P must be >= 0, got {self.p}")
-        if self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        _require_count("p", self.p, 0)
+        _require_count("n_atoms", self.n_atoms, 1)
 
     @property
     def dim(self) -> int:
@@ -131,10 +135,8 @@ class FullBasis:
     n_max: int
 
     def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        if self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        _require_count("n_max", self.n_max, 0)
+        _require_count("n_atoms", self.n_atoms, 1)
 
     @property
     def dim(self) -> int:

@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,6 +37,7 @@ __all__ = [
     "DEFAULT_THRESHOLDS",
     "SCHEMA_VERSION",
     "parse_config",
+    "parse_thresholds",
     "run_scan",
     "load_rows",
     "compare_report",
@@ -406,11 +407,7 @@ def run_scan(config: ScanConfig) -> list[Path]:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "code_version": __version__,
-        "model": {
-            "omega_a": config.model.omega_a, "omega_b": config.model.omega_b,
-            "g_prime": config.model.g_prime, "lambda_z": config.model.lambda_z,
-            "u": config.model.u, "n_atoms": config.model.n_atoms,
-        },
+        "model": {k: v for k, v in asdict(config.model).items() if k != "g"},
         "critical_coupling": gc,
         "grid_g_over_gc": list(config.g_over_gc),
         "grid_g": [r * gc for r in config.g_over_gc],
@@ -454,6 +451,21 @@ def load_rows(data_dir) -> list[ComparisonRow]:
                     envelope=_parse_cell(record.get("analytic_envelope", "") or ""),
                 ))
     return rows
+
+
+def parse_thresholds(raw) -> dict[str, float]:
+    """``raw``, a loaded ``{quantity: max_rel_deviation}`` object, as the
+    float thresholds of ``compare_report``; raises ConfigError listing
+    every key that names no quantity a scan writes and every value that is
+    not a finite number > 0."""
+    if not isinstance(raw, dict):
+        raise ConfigError(["thresholds must be a JSON object {quantity: max_rel_deviation}"])
+    errors = [f"threshold key {key!r} names no scan quantity" for key in raw if key not in _ROW_QUANTITIES]
+    thresholds = {key: _number(errors, value, 0, f"threshold {key!r} must be a finite number > 0")
+                  for key, value in raw.items()}
+    if errors:
+        raise ConfigError(errors)
+    return thresholds
 
 
 def compare_report(rows: list[ComparisonRow], thresholds: dict | None = None) -> CompareReport:

@@ -518,21 +518,35 @@ def test_sectors_past_the_search_stop_lie_above_the_best_energy(template):
         # x, and a higher x reaches further sectors
         for shift in (1e-12, 5.0, 50.0):
             x = e0[guess] + shift
-            stop = ed._search_stop(params, x)
+            stop = ed._candidate_sectors(params, x)[1]
             ed._bisect_lowest(params, range(stop + 201), e0)
             assert all(e0[p] > x for p in range(stop + 1, stop + 201))
 
 
+def _screen_norms(params):
+    """``(kappa, A, B, K)`` of the screen: kappa = 16 (N + 1) eps, |d_s| <=
+    A P + B and |e_s| <= K sqrt(P) on every sector P."""
+    N = params.n_atoms
+    s = np.arange(N + 1)
+    k = params.g / math.sqrt(N) * np.sqrt((s + 1) * (N - s))
+    return (
+        16 * (N + 1) * np.finfo(float).eps,
+        params.omega_a + abs(params.lambda_z),
+        (params.omega_b + abs(params.u)) * N / 2,
+        k.max(),
+    )
+
+
 def _dlaebz_screen(params, sectors, x):
-    """Reference for ``ed._sectors_reaching``: one Sturm count per sector in
-    numpy, vectorized over P and looping over s, following LAPACK
-    ``dlaebz``.  Pivots q_s = (d_s - e_{s-1}^2 / q_{s-1}) - y with the
-    sector's own y = x + kappa (A P + B + 2 K sqrt(P) + |x|); a pivot
+    """Reference for the count of ``ed._candidate_sectors``: one Sturm count
+    per sector in numpy, vectorized over P and looping over s, following
+    LAPACK ``dlaebz``.  Pivots q_s = (d_s - e_{s-1}^2 / q_{s-1}) - y with
+    the sector's own y = x + kappa (A P + B + 2 K sqrt(P) + |x|); a pivot
     smaller in magnitude than pivmin = safe-min max(1, K^2 P) is replaced
     by -pivmin, and a pivot <= 0 counts an eigenvalue <= y."""
     p = np.asarray(sectors, dtype=int)
-    kappa, big_a, big_b, k = ed._band_norms(params)[:4]
-    e_max = k.max() * np.sqrt(p)
+    kappa, big_a, big_b, big_k = _screen_norms(params)
+    e_max = big_k * np.sqrt(p)
     pivmin = np.finfo(float).tiny * np.maximum(1.0, e_max**2)
     y = x + kappa * (big_a * p + big_b + 2 * e_max + abs(x))
     # rows s of every sector, padded past its dimension with +inf on the
@@ -569,8 +583,8 @@ def test_screen_matches_the_dlaebz_recurrence(template):
         ed._bisect_lowest(params, [guess], e0)
         for shift in (1e-12, 0.3, 5.0):
             x = e0[guess] + shift
-            sectors = range(ed._search_stop(params, x) + 1)
-            assert ed._sectors_reaching(params, sectors, x) == _dlaebz_screen(params, sectors, x)
+            reaching, stop = ed._candidate_sectors(params, x)
+            assert reaching == _dlaebz_screen(params, range(stop + 1), x)
 
 
 def test_sturm_count_survives_an_exactly_zero_pivot():
@@ -579,24 +593,30 @@ def test_sturm_count_survives_an_exactly_zero_pivot():
     # the next row divides 0 by it unless the dlaebz pivmin rule replaced it
     params = ModelParams(omega_b=1.3, n_atoms=3)
     diag = sector_bands(params, 4)[0]
-    kappa, big_a, big_b, k, s, a, b = ed._band_norms(params)
-    assert k.max() == 0.0
-    # the screen's separable diagonal of sector 4 is bit-identical here
+    kappa, big_a, big_b, big_k = _screen_norms(params)
+    assert big_k == 0.0
+    # the screen's separable diagonal P a_s + (b_s - s a_s) of sector 4 is
+    # bit-identical here: a_s = 1, b_s = 1.3 (s - 3/2)
+    s = np.arange(4.0)
+    a, b = np.ones(4), 1.3 * (s - 1.5)
     assert np.array_equal(4 * a + (b - s * a), diag)
 
-    def shifted(x):  # the y of _sectors_reaching over range(6): P = 5, K = 0
-        return x + kappa * (big_a * 5 + big_b + abs(x))
+    def shifted(x, p_stop):  # the y of the count over 0..P_stop, K = 0
+        return x + kappa * (big_a * p_stop + big_b + abs(x))
 
     # row 1 is the zero pivot the recurrence must survive; on row 0, the
-    # lowest eigenvalue of sector 4, only a y taken at P = 5 keeps sector 4
+    # lowest eigenvalue of sector 4, only a y taken at P_stop = 5 keeps
+    # sector 4
     for row in (1, 0):
         x = diag[row]
-        while shifted(x) > diag[row]:
+        p_stop = ed._candidate_sectors(params, x)[1]
+        assert p_stop == 5
+        while shifted(x, p_stop) > diag[row]:
             x = np.nextafter(x, -np.inf)
-        assert shifted(x) == diag[row]
+        assert shifted(x, p_stop) == diag[row]
         with np.errstate(divide="raise", invalid="raise"):
-            assert ed._sectors_reaching(params, range(6), x) == [0, 1, 2, 3, 4]
-    assert _dlaebz_screen(params, range(6), x) == [0, 1, 2, 3]  # its y for sector 4 is smaller
+            assert ed._candidate_sectors(params, x) == ([0, 1, 2, 3, 4], p_stop)
+    assert _dlaebz_screen(params, range(p_stop + 1), x) == [0, 1, 2, 3]  # its y for sector 4 is smaller
 
 
 def _single_qubit_energies(params, p):
@@ -661,14 +681,13 @@ def test_screen_does_not_depend_on_blocking(monkeypatch, template, ratio, shift)
     e0 = {}
     ed._bisect_lowest(params, [guess], e0)
     for x in (e0[guess] + 1e-12, e0[guess] + shift):
-        sectors = range(ed._search_stop(params, x) + 1)
         # the default lays every sector end to end in one dstebz call,
         # except at N = 200, whose 201-row sectors take several calls
-        expected = ed._sectors_reaching(params, sectors, x)
+        expected = ed._candidate_sectors(params, x)
         with monkeypatch.context() as patch:
             patch.setattr(ed, "_BAND_BLOCK", 1)  # one sector per call
-            assert ed._sectors_reaching(params, sectors, x) == expected
-        assert guess in expected
+            assert ed._candidate_sectors(params, x) == expected
+        assert guess in expected[0]
 
 
 def test_solve_ground_rejects_bisection_mismatch(monkeypatch):
@@ -702,14 +721,15 @@ def test_screen_bisects_a_handful_of_sectors(monkeypatch, template, ratio, p_sta
         real(params, sectors, e0)
 
     screened = []
-    real_screen = ed._sectors_reaching
+    real_screen = ed._candidate_sectors
 
-    def screening(params, sectors, x):
-        screened.append(len(sectors))
-        return real_screen(params, sectors, x)
+    def screening(params, x):
+        sectors, p_stop = real_screen(params, x)
+        screened.append(p_stop + 1)
+        return sectors, p_stop
 
     monkeypatch.setattr(ed, "_bisect_lowest", recording)
-    monkeypatch.setattr(ed, "_sectors_reaching", screening)
+    monkeypatch.setattr(ed, "_candidate_sectors", screening)
     assert solve_ground(replace(template, g=ratio * critical_coupling(template))).point.p_star == p_star
     assert {p_star, p_star + 1} <= set(bisected) and len(bisected) <= 4
     # the proven stop stays near the staircase: 318 sectors for P* = 263

@@ -39,6 +39,18 @@ def test_rejects_non_symmetric_and_bad_inputs():
         eigh(np.eye(2), tol=np.nan)
 
 
+def test_rejects_complex_input():
+    # a cast to float used to drop the imaginary part and certify the
+    # spectrum [1, 1] of the real part; the Hermitian matrix has [0, 2]
+    hermitian = [[1, 1j], [-1j, 1]]
+    with pytest.raises(ValueError, match="complex"):
+        eigh(hermitian)
+    with pytest.raises(ValueError, match="complex"):
+        eigh(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="complex"):
+        residual(np.array(hermitian), eigh(np.eye(2)))
+
+
 def test_residual_of_exact_diagonal_decomposition():
     m = np.diag([3.0, -1.0, 2.0])
     d = eigh(m)

@@ -66,6 +66,26 @@ def test_sector_basis_rejects_negative():
         SectorBasis(-1, 2)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: SectorBasis(p=v, n_atoms=4), "p"),
+        (lambda v: SectorBasis(p=2, n_atoms=v), "n_atoms"),
+        (lambda v: FullBasis(n_atoms=v, n_max=2), "n_atoms"),
+        (lambda v: FullBasis(n_atoms=2, n_max=v), "n_max"),
+    ],
+    ids=["sector-p", "sector-n_atoms", "full-n_atoms", "full-n_max"],
+)
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), True, np.True_, "2"])
+def test_basis_labels_must_be_integers(make, name, value):
+    # a fractional sector used to give a certified spectrum for a sector
+    # that does not exist, a fractional cutoff a fractional dim, and True
+    # passed as 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        make(value)
+    assert make(np.int64(2)).dim == make(2).dim
+
+
 def test_sector_hamiltonian_two_atoms_one_excitation():
     params = ModelParams(omega_a=1, omega_b=1, g=1, n_atoms=2)
     h = build_sector_hamiltonian(params, 1)
