@@ -81,10 +81,14 @@ class ModelParams:
     n_atoms: int = 1
 
     def __post_init__(self):
-        # bool is an int subclass (True would pass as 1); an array would be unhashable
+        # bool is an int subclass (True would pass as 1); an array would be unhashable;
+        # the type test is a fast path: an ABC isinstance check costs far more
         for name in ("omega_a", "omega_b", "g", "g_prime", "lambda_z", "u"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value):
+            if (
+                type(value) is not float and (not isinstance(value, numbers.Real) or isinstance(value, bool))
+                or not math.isfinite(value)
+            ):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.omega_a > 0:
             raise ValueError(f"omega_a must be positive, got {self.omega_a}")

@@ -10,7 +10,12 @@ mode, and the l = 1 line of the number channel the Higgs mode.
 
 Weights are reported per numerically degenerate cluster (summed), so
 they are stable under eigenvector rotations inside a cluster; weights
-below 1e-12 are clamped to zero.
+below 1e-12 are clamped to zero.  Clusters are found in one pass over
+the ascending energies: a line joins the cluster of the line below it
+when their gap is below 1e-9 times max(1, max |E|), and any other gap,
+NaN included, starts a new cluster.  A cluster of one line keeps that
+line's energy and weight; a larger one takes the mean energy and the
+summed weight of its lines.
 """
 
 from dataclasses import dataclass
@@ -79,22 +84,21 @@ def photon_number_variance(ground: SectorSpectrum) -> float:
 
 def _cluster_lines(energies, weights, roles, kind, p_from, p_to) -> CorrelationSpectrum:
     """Merge numerically degenerate lines, summing their weights."""
-    scale = max(float(np.abs(energies).max()) if energies.size else 0.0, 1.0)
+    n = energies.size
+    scale = max(float(np.abs(energies).max()) if n else 0.0, 1.0)
+    # a gap inside the window joins a line to the cluster below it; any other
+    # gap, NaN included, starts a new cluster
+    cuts = (np.flatnonzero(~(energies[1:] - energies[:-1] < DEGENERACY_RTOL * scale)) + 1).tolist()
+    bounds = [0, *cuts, n] if n else []
+    # x + 0.0 is a one-element mean and sum: numpy's sum starts from +0.0, so -0.0 becomes 0.0
+    single_e, single_w = (energies + 0.0).tolist(), (weights + 0.0).tolist()
     lines = []
-    i = 0
-    while i < energies.size:
-        k = i + 1
-        while k < energies.size and energies[k] - energies[k - 1] < DEGENERACY_RTOL * scale:
-            k += 1
-        w = float(weights[i:k].sum())
-        lines.append(
-            SpectralLine(
-                energy=float(energies[i:k].mean()),
-                weight=0.0 if w < WEIGHT_CLAMP else w,
-                role=roles[i],
-            )
-        )
-        i = k
+    for i, k in zip(bounds, bounds[1:]):
+        if k - i == 1:
+            e, w = single_e[i], single_w[i]
+        else:
+            e, w = float(energies[i:k].mean()), float(weights[i:k].sum())
+        lines.append(SpectralLine(e, 0.0 if w < WEIGHT_CLAMP else w, roles[i]))
     return CorrelationSpectrum(kind=kind, lines=tuple(lines), p_from=p_from, p_to=p_to)
 
 
@@ -182,7 +186,7 @@ def anomalous_weight(full_even: FullSpectrum, full_odd: FullSpectrum) -> float:
 def evaluate_time_correlation(cs: CorrelationSpectrum, tau_values) -> list[float]:
     """Imaginary-time decay sum_lines w exp(-E tau) for each tau >= 0."""
     taus = np.asarray(tau_values, dtype=float)
-    if np.any(taus < 0):
+    if not np.all(taus >= 0):  # NaN fails too
         raise ValueError("tau values must be >= 0")
     energies = np.array([line.energy for line in cs.lines])
     weights = np.array([line.weight for line in cs.lines])

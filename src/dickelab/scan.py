@@ -17,6 +17,7 @@ import numbers
 from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -348,34 +349,48 @@ def _point_rows(config: ScanConfig, ratio: float) -> dict[str, list[ComparisonRo
     }
 
 
-def _table(quantity: str, rows: list[ComparisonRow]) -> tuple[tuple[str, ...], list[dict]]:
-    """Column names and one column -> value record per row of a quantity's
-    data file.  Only the goldstone file carries the analytic envelope; for
-    the others ``zip`` drops it."""
-    columns = _COLUMNS + (("analytic_envelope",) if quantity == "goldstone" else ())
-    records = [dict(zip(columns, (*(getattr(r, c) for c in _COLUMNS), r.envelope))) for r in rows]
-    return columns, records
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _csv_cell(value) -> str:
+def _cell(value) -> tuple[str, str]:
+    """The CSV and the JSON text of one table cell, spelled as ``csv.writer``
+    (after ``repr(float(value))`` for numbers) and ``json.dumps`` spell them."""
     if value is None:
-        return ""
+        return "", "null"
     if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (str, int)):  # quantity, p_star
-        return str(value)
-    return repr(float(value))
+        text = "true" if value else "false"
+        return text, text
+    if isinstance(value, str):  # quantity
+        return value, json.dumps(value)
+    if isinstance(value, int):  # p_star
+        text = str(value)
+        return text, text
+    text = repr(float(value))
+    return text, _JSON_NONFINITE.get(text, text)
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_csv_cell(record[c]) for c in columns] for record in records)
+_row_values = attrgetter(*_COLUMNS, "envelope")
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _tables(quantity: str, rows: list[ComparisonRow]) -> dict[str, str]:
+    """Text of a quantity's CSV and JSON data files, from cells formatted
+    once.  Only the goldstone file carries the analytic envelope.
+
+    The CSV text is what ``csv.writer`` writes with LF line ends: no cell
+    holds a comma, a quote or a line break, so none is quoted.  The JSON
+    text is ``json.dumps(records, indent=2, sort_keys=True)`` and a final
+    LF, for one column -> value record per row.
+    """
+    columns = _COLUMNS + (("analytic_envelope",) if quantity == "goldstone" else ())
+    cells = [[_cell(v) for v in _row_values(r)[: len(columns)]] for r in rows]
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    record = "  {\n" + ",\n".join(f"    {json.dumps(columns[c])}: %s" for c in order) + "\n  }"
+    records = [record % tuple(row[c][1] for c in order) for row in cells]
+    lines = [",".join(columns), *(",".join([text for text, _ in row]) for row in cells)]
+    return {
+        "csv": "\n".join(lines) + "\n",
+        "json": "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n",
+    }
 
 
 def run_scan(config: ScanConfig) -> list[Path]:
@@ -395,13 +410,11 @@ def run_scan(config: ScanConfig) -> list[Path]:
 
     written: list[Path] = []
     for quantity, rows in by_quantity.items():
-        columns, records = _table(quantity, rows)
+        texts = _tables(quantity, rows)
         for fmt in config.formats:
             path = out / f"{quantity}.{fmt}"
-            if fmt == "csv":
-                _write_csv(path, columns, records)
-            else:
-                _write_json(path, records)
+            # the CSV line end is LF on every platform; the JSON text takes the platform's
+            path.write_text(texts[fmt], encoding="utf-8", newline="" if fmt == "csv" else None)
             written.append(path)
 
     manifest = {
@@ -419,7 +432,7 @@ def run_scan(config: ScanConfig) -> list[Path]:
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     manifest_path = out / "manifest.json"
-    _write_json(manifest_path, manifest)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     written.append(manifest_path)
     return written
 
@@ -429,7 +442,9 @@ def _parse_cell(cell: str):
 
 
 def load_rows(data_dir) -> list[ComparisonRow]:
-    """Read every quantity CSV in a scan output directory back into rows."""
+    """Read every quantity CSV in a scan output directory back into rows;
+    raises ValueError, naming the file and line, on a row whose cell count
+    differs from its header's."""
     data_dir = Path(data_dir)
     paths = sorted(data_dir.glob("*.csv"))
     if not paths:
@@ -437,7 +452,11 @@ def load_rows(data_dir) -> list[ComparisonRow]:
     rows: list[ComparisonRow] = []
     for path in paths:
         with open(path, encoding="utf-8", newline="") as fh:
-            for record in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            for record in reader:
+                # DictReader files extra cells under the key None and fills missing ones with None
+                if None in record or None in record.values():
+                    raise ValueError(f"{path}, line {reader.line_num}: cell count differs from the header's")
                 p_star = record.get("p_star", "")
                 rows.append(ComparisonRow(
                     quantity=record["quantity"],

@@ -6,8 +6,11 @@ import pytest
 
 from dickelab.ed import auto_nmax, solve_full, solve_ground, solve_sector
 from dickelab.model import ModelParams, SectorBasis
+from dickelab import observables
 from dickelab.ed import SectorSpectrum
 from dickelab.observables import (
+    DEGENERACY_RTOL,
+    WEIGHT_CLAMP,
     CorrelationSpectrum,
     SpectralLine,
     anomalous_weight,
@@ -269,8 +272,9 @@ def test_evaluate_time_correlation():
     )
     assert evaluate_time_correlation(cs, [0.0]) == [pytest.approx(2.0)]
     assert evaluate_time_correlation(cs, [math.log(2)]) == [pytest.approx(1.0, abs=1e-14)]
-    with pytest.raises(ValueError):
-        evaluate_time_correlation(cs, [-0.1])
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            evaluate_time_correlation(cs, [bad])
 
 
 def test_time_correlation_long_time_dominated_by_lowest_line():
@@ -280,3 +284,105 @@ def test_time_correlation_long_time_dominated_by_lowest_line():
     total = evaluate_time_correlation(cs, [tau])[0]
     lowest = cs.lines[0]
     assert total == pytest.approx(lowest.weight * math.exp(-lowest.energy * tau), rel=1e-6)
+
+
+def _cluster_lines_loop(energies, weights, roles, kind, p_from, p_to):
+    """Reference for ``observables._cluster_lines``: the line-by-line merge
+    it replaced.  A line joins the cluster of the line below while their
+    gap is below DEGENERACY_RTOL * max(1, max |E|); each cluster takes the
+    slice mean of its energies and the slice sum of its weights."""
+    scale = max(float(np.abs(energies).max()) if energies.size else 0.0, 1.0)
+    lines = []
+    i = 0
+    while i < energies.size:
+        k = i + 1
+        while k < energies.size and energies[k] - energies[k - 1] < DEGENERACY_RTOL * scale:
+            k += 1
+        w = float(weights[i:k].sum())
+        lines.append(SpectralLine(
+            energy=float(energies[i:k].mean()), weight=0.0 if w < WEIGHT_CLAMP else w, role=roles[i],
+        ))
+        i = k
+    return CorrelationSpectrum(kind=kind, lines=tuple(lines), p_from=p_from, p_to=p_to)
+
+
+def _hex_lines(cs):
+    return cs.kind, cs.p_from, cs.p_to, [(line.energy.hex(), line.weight.hex(), line.role) for line in cs.lines]
+
+
+_cluster_lines = observables._cluster_lines  # not the recording wrapper of cluster_inputs
+
+
+def _assert_clusters_match_the_loop(args):
+    got = _cluster_lines(*args)
+    assert _hex_lines(got) == _hex_lines(_cluster_lines_loop(*args))
+    return got
+
+
+@pytest.fixture
+def cluster_inputs(monkeypatch):
+    """The arguments of every ``_cluster_lines`` call made while it is in use."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _cluster_lines(*args)
+
+    monkeypatch.setattr(observables, "_cluster_lines", recording)
+    return calls
+
+
+def test_cluster_lines_match_the_loop_on_ground_state_lines(cluster_inputs):
+    for n in (1, 2, 3, 5, 8, 20):
+        template = ModelParams(n_atoms=n)
+        for ratio in (0.0, 0.5, 1.0, 1.2, 2.0, 3.0):
+            gs = solve_ground(replace(template, g=ratio * critical_coupling(template)))
+            photon_correlation(gs.spectrum, gs.spectrum_next)
+            if gs.spectrum.basis.dim > 1:
+                number_correlation(gs.spectrum)
+    assert len(cluster_inputs) == 54
+    for args in cluster_inputs:
+        _assert_clusters_match_the_loop(args)
+
+
+def test_cluster_lines_match_the_loop_on_a_fully_degenerate_sector(cluster_inputs):
+    # g = 0 on resonance: every state of a sector P >= N has energy P - N/2
+    params = ModelParams(n_atoms=8)
+    photon = photon_correlation(solve_sector(params, 8), solve_sector(params, 9))
+    number_correlation(solve_sector(params, 8))
+    photon_args, number_args = cluster_inputs
+    assert photon_args[0].size == 9 and len(photon.lines) == 1
+    assert photon.lines[0].role == "goldstone"
+    assert len(_assert_clusters_match_the_loop(number_args).lines) == 1
+    _assert_clusters_match_the_loop(photon_args)
+
+
+def _synthetic(energies, weights):
+    energies, weights = np.array(energies, dtype=float), np.array(weights, dtype=float)
+    roles = ["goldstone", "optical"] + ["other"] * (energies.size - 2)
+    return energies, weights, roles[: energies.size], "photon", 3, 4
+
+
+@pytest.mark.parametrize("energies, weights, n_lines", [
+    # a gap exactly at the window starts a cluster; one ulp below it does not
+    # (the window is DEGENERACY_RTOL * max(1, max |E|))
+    ([0.0, DEGENERACY_RTOL, 0.5], [0.5, 0.25, 0.25], 3),
+    ([0.0, np.nextafter(DEGENERACY_RTOL, 0), 0.5], [0.5, 0.25, 0.25], 2),
+    ([-4.0, 0.0, 4 * DEGENERACY_RTOL], [0.5, 0.25, 0.25], 3),
+    ([-4.0, 0.0, np.nextafter(4 * DEGENERACY_RTOL, 0)], [0.5, 0.25, 0.25], 2),
+    # the slice sum gives 1.0 here, a left-to-right reduceat 1 + 2**-52
+    ([2.0, 2.0, 2.0], [1.0, 1e-16, 1e-16], 1),
+    ([0.0, 1.0, 1.0, 1.0], [0.3, 1.0, 1e-16, 1e-16], 2),
+    # weights at, below and summed across the clamp
+    ([0.0, 1.0, 2.0], [WEIGHT_CLAMP, np.nextafter(WEIGHT_CLAMP, 0), 0.0], 3),
+    ([0.0, 1.0, 1.0], [0.5, 0.6 * WEIGHT_CLAMP, 0.6 * WEIGHT_CLAMP], 2),
+    # a NaN gap starts a cluster; -0.0 comes out as numpy's one-line mean 0.0
+    ([0.0, np.nan, 1.0], [0.5, 0.25, 0.25], 3),
+    ([-0.0, 1.0], [0.5, 0.5], 2),
+    ([-0.0, -0.0], [0.5, 0.5], 1),
+    ([1.5], [2.0], 1),
+    ([], [], 0),
+])
+def test_cluster_lines_match_the_loop_on_synthetic_lines(energies, weights, n_lines):
+    got = _assert_clusters_match_the_loop(_synthetic(energies, weights))
+    assert len(got.lines) == n_lines

@@ -1,12 +1,17 @@
 import csv
+import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dickelab.cli import main
 from dickelab.scan import (
+    _COLUMNS,
     _ROW_QUANTITIES,
+    _tables,
     QUANTITIES,
     ComparisonRow,
     ConfigError,
@@ -380,3 +385,72 @@ def test_row_quantities_are_the_quantities_a_scan_writes(tmp_path):
     )
     run_scan(parse_config(cfg))
     assert {row.quantity for row in load_rows(tmp_path / "out")} == set(_ROW_QUANTITIES)
+
+
+def _reference_tables(quantity, rows):
+    """The data files as ``csv.writer`` and ``json.dumps`` wrote them from
+    one column -> value record per row, for checking ``scan._tables``."""
+    columns = _COLUMNS + (("analytic_envelope",) if quantity == "goldstone" else ())
+    records = [dict(zip(columns, (*(getattr(r, c) for c in _COLUMNS), r.envelope))) for r in rows]
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (str, int)):
+            return str(value)
+        return repr(float(value))
+
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cell(record[c]) for c in columns] for record in records)
+    return {"csv": buffer.getvalue(), "json": json.dumps(records, indent=2, sort_keys=True) + "\n"}
+
+
+_ODD_ROWS = [
+    ComparisonRow("goldstone", 2.0, np.float64(0.1), 7, -0.0, 5e-324, 1e22, True, envelope=math.nan),
+    ComparisonRow("goldstone", np.float64(1e-300), 1.5, None, math.nan, math.inf, -math.inf, False, envelope=None),
+    ComparisonRow("goldstone", 3.0, 2.5, 0, None, None, None, False, envelope=-math.inf),
+    ComparisonRow("goldstone", 1.0, 2.0, 12345678901234567890, 3, True, np.float64(-2.5e-8), True,
+                  envelope=np.float64(math.inf)),
+]
+
+
+@pytest.mark.parametrize("quantity", ["goldstone", "higgs", "c_o"])
+@pytest.mark.parametrize("rows", [_ODD_ROWS, _ODD_ROWS[:1], _ODD_ROWS[1:2], []])
+def test_tables_equal_csv_writer_and_json_dumps(quantity, rows):
+    rows = [ComparisonRow(quantity, *(getattr(r, c) for c in _COLUMNS[1:]), envelope=r.envelope) for r in rows]
+    assert _tables(quantity, rows) == _reference_tables(quantity, rows)
+
+
+def test_run_scan_writes_the_reference_tables(tmp_path):
+    config = parse_config(_config_dict(
+        tmp_path, grid=[0.5, 1.05, 2.5], quantities=["goldstone", "weights"], formats=["csv", "json"],
+    ))
+    run_scan(config)
+    rows = load_rows(tmp_path / "out")
+    assert rows[0].analytic_value is None and rows[0].envelope is None  # normal phase
+    for quantity in ("goldstone", "weights"):
+        written = [r for r in rows if (r.quantity == "goldstone") == (quantity == "goldstone")]
+        reference = _reference_tables(quantity, written)
+        for fmt in ("csv", "json"):
+            assert (tmp_path / "out" / f"{quantity}.{fmt}").read_text(encoding="utf-8") == reference[fmt]
+
+
+@pytest.mark.parametrize("row, line", [
+    ("higgs,1.0", 2),  # truncated
+    ("higgs,2.0,2.0,5,1.0,1.0,0.0,false,extra", 2),  # one cell too many
+])
+def test_cli_compare_rejects_rows_whose_cell_count_differs_from_the_header(tmp_path, capsys, row, line):
+    data = tmp_path / "data"
+    data.mkdir()
+    valid = "higgs,2.2,2.2,5,1.0,1.0,0.0,false"
+    (data / "higgs.csv").write_text(",".join(_COLUMNS) + "\n" + row + "\n" + valid + "\n")
+    (data / "optical.csv").write_text(",".join(_COLUMNS) + "\n" + valid + "\n")
+    assert main(["compare", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "higgs.csv" in err and f"line {line}" in err
+    (data / "higgs.csv").write_text(",".join(_COLUMNS) + "\n" + valid + "\n")
+    assert main(["compare", str(data)]) == 0
