@@ -44,11 +44,10 @@ def _cmd_compare(args) -> int:
             print("invalid thresholds: " + "; ".join(exc.errors), file=sys.stderr)
             return 2
     try:
-        rows = load_rows(args.data_dir)
+        report = compare_report(load_rows(args.data_dir), thresholds)
     except (OSError, KeyError, ValueError) as exc:
         print(f"cannot load comparison data: {exc}", file=sys.stderr)
         return 2
-    report = compare_report(rows, thresholds)
     header = f"{'quantity':<12} {'rows':>5} {'enforced':>8} {'max_dev':>12} {'median_dev':>12} {'threshold':>10} {'status':>8}"
     print(header)
     for q in report.quantities:

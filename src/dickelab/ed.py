@@ -17,13 +17,15 @@ P* and P*+1 are fully diagonalized and certified.  A parity block that
 conserves n + s or n - s is solved chain by chain, tridiagonal with zeros
 between chains; ``eigen.eigh`` splits such a matrix (or a diagonal sector
 at g = 0) at its zeros, so eigenvectors are exactly zero off their chain.
+The Fock-cutoff search compares truncations of a parity block by their
+three lowest eigenvalues, from LAPACK ``dsbevx`` on its band storage.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dsbevx, dstebz
 
 from . import eigen
 from .model import (
@@ -352,6 +354,36 @@ def _groups(labels: np.ndarray) -> list[np.ndarray]:
     return sorted(groups, key=lambda group: group[0])
 
 
+def _parity_band(h: np.ndarray, idx: np.ndarray, n_atoms: int) -> np.ndarray:
+    """LAPACK lower band storage of the parity block ``h[np.ix_(idx, idx)]``
+    (``idx`` ascending): ``ab[d, j] = h[idx[j + d], idx[j]]``.
+
+    The couplings join (n, s) to (n + 1, s -+ 1), N or N + 2 flat indices
+    on, and a parity block holds at most (N + 3) // 2 of any N + 2
+    consecutive indices, so kd = (N + 3) // 2 sub-diagonals hold every
+    nonzero of the block.  Its leading k columns are the band of its
+    leading k x k block.
+    """
+    kd = (n_atoms + 3) // 2
+    ab = np.zeros((kd + 1, idx.size), order="F")
+    for d in range(kd + 1):
+        ab[d, : idx.size - d] = h[idx[d:], idx[: idx.size - d]]
+    return ab
+
+
+def _band_lowest(ab: np.ndarray, k: int) -> np.ndarray:
+    """The three lowest eigenvalues (all if k < 3), ascending, of the
+    leading k x k block of the lower band storage ``ab``, by one LAPACK
+    ``dsbevx`` call (bisection to full relative accuracy)."""
+    w, _, m, _, info = dsbevx(
+        ab[:, :k], 0.0, 0.0, 1, min(3, k),
+        compute_v=0, range=2, lower=1, abstol=_BISECTION_ABSTOL, overwrite_ab=0,
+    )
+    if info != 0:
+        raise eigen.EigenError(f"dsbevx failed on the leading {k} rows of a parity block (info = {info})")
+    return w[:m]
+
+
 def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
     """Smallest Fock truncation with converged low-lying energies.
 
@@ -359,12 +391,17 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
     the requested parity block move by less than ``tol`` when n_max grows
     by ``_NMAX_STEP``, then bisects down to the smallest such n_max.
 
-    A smaller truncation is a leading principal submatrix of a larger one:
-    the floor check and each doubling step slice what they compare out of
-    one H assembled at hi + ``_NMAX_STEP``, the bisection out of the last.
-    Comparisons use eigenvalues only (``numpy.linalg.eigvalsh`` per chain
-    of a conserved n + s or n - s); callers certify the returned n_max with
-    ``solve_full``.
+    A smaller truncation is a leading principal submatrix of a larger one,
+    in ``FullBasis`` order and so in the ascending indices of a parity
+    block: the floor check and each doubling step compare truncations of
+    one H assembled at hi + ``_NMAX_STEP``, the bisection those of the
+    last.  Each step stores the parity block once in LAPACK lower band
+    storage (``_parity_band``: (N + 3) // 2 sub-diagonals hold every
+    nonzero), and truncation n is its leading k = #{index < (n + 1)(N + 1)}
+    columns, whose three lowest eigenvalues come from one LAPACK
+    ``dsbevx`` call (RANGE = 'I', bisection to full relative accuracy).
+    Comparisons use eigenvalues only; callers certify the returned n_max
+    with ``solve_full``.
 
     Raises
     ------
@@ -373,23 +410,22 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
     RuntimeError
         If no converged truncation exists below ``NMAX_CAP``.
     EigenError
-        If LAPACK fails to converge on a compared truncation.
+        If ``dsbevx`` fails (info != 0) on a compared truncation.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if parity not in (1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity}")
+    N = params.n_atoms
     lowest_cache: dict[int, np.ndarray] = {}
+
+    def band(n_big: int) -> tuple[np.ndarray, np.ndarray]:
+        idx = parity_blocks(N, n_big)[0 if parity == 1 else 1]
+        return idx, _parity_band(build_full_hamiltonian(params, n_big), idx, N)
 
     def lowest(n: int) -> np.ndarray:
         if n not in lowest_cache:
-            idx, chains = _parity_layout(params, n, parity)
-            rows = [idx[chain] for chain in chains]
-            # blocks of one size go to LAPACK as one stack
-            stacks = [np.array([r for r in rows if r.size == k]) for k in {r.size for r in rows}]
-            try:
-                vals = [np.linalg.eigvalsh(h[r[:, :, np.newaxis], r[:, np.newaxis, :]]).ravel() for r in stacks]
-            except np.linalg.LinAlgError as exc:
-                raise eigen.EigenError(f"eigvalsh failed at n_max = {n}: {exc}") from exc
-            lowest_cache[n] = np.sort(np.concatenate(vals))[:3]
+            lowest_cache[n] = _band_lowest(ab, int(np.searchsorted(idx, (n + 1) * (N + 1))))
         return lowest_cache[n]
 
     def converged(n: int) -> bool:
@@ -398,14 +434,14 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
         return bool(np.abs(a[:k] - b[:k]).max() < tol)
 
     lo, hi = _NMAX_FLOOR, 2 * _NMAX_FLOOR
-    h = build_full_hamiltonian(params, hi + _NMAX_STEP)
+    idx, ab = band(hi + _NMAX_STEP)
     if converged(lo):
         return lo
     while not converged(hi):
         lo, hi = hi, 2 * hi
         if hi > NMAX_CAP:
             raise RuntimeError(f"auto_nmax exceeded the cap of {NMAX_CAP}")
-        h = build_full_hamiltonian(params, hi + _NMAX_STEP)
+        idx, ab = band(hi + _NMAX_STEP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if converged(mid) else (mid, hi)

@@ -126,7 +126,11 @@ def effective_theory(params: ModelParams) -> EffectiveTheory:
     NormalPhaseError
         When g + g' <= sqrt(omega_a omega_b).
     """
-    sp = saddle_point(params)
+    return _effective_theory(params, saddle_point(params))
+
+
+def _effective_theory(params: ModelParams, sp: SaddlePoint) -> EffectiveTheory:
+    """``effective_theory(params)`` from its saddle point ``sp``."""
     if not sp.superradiant:
         raise NormalPhaseError(
             f"effective theory is defined only for g + g' > sqrt(omega_a omega_b); "
@@ -165,7 +169,7 @@ def predictions(params: ModelParams) -> AnalyticPredictions:
         When g + g' <= sqrt(omega_a omega_b).
     """
     sp = saddle_point(params)
-    th = effective_theory(params)
+    th = _effective_theory(params, sp)
     wa, wb = params.omega_a, params.omega_b
     gsum = params.g + params.g_prime
     gc = math.sqrt(wa * wb)

@@ -334,6 +334,69 @@ def test_auto_nmax_reproduces_the_recorded_table(n_atoms):
         assert found == _AUTO_NMAX_TABLE[(n_atoms, gp)], f"g'/g = {gp}"
 
 
+# n_max of the (even, odd) parity blocks at tol 1e-8 off resonance and at
+# g = 0, recorded beside _AUTO_NMAX_TABLE with the eigvalsh comparison:
+# ("detuned" | "lambda_z-u", N, g'/g) at g = ratio * g_c of the template,
+# ("g=0", N) at g' = ratio
+_AUTO_NMAX_TEMPLATES = {"detuned": {"omega_a": 1.4, "omega_b": 0.7}, "lambda_z-u": {"lambda_z": 0.3, "u": -0.2}}
+_AUTO_NMAX_WIDER_TABLE = {
+    ("detuned", 1, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8)],
+    ("detuned", 1, 0.01): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 9), (8, 9), (10, 9), (11, 11)],
+    ("detuned", 1, 0.05): [(8, 8), (8, 8), (8, 8), (8, 9), (10, 11), (10, 11), (14, 13), (15, 15)],
+    ("detuned", 1, 0.2): [(8, 8), (9, 8), (10, 9), (12, 13), (12, 14), (14, 15), (19, 19), (23, 23)],
+    ("detuned", 2, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (10, 9)],
+    ("detuned", 2, 0.01): [(8, 8), (8, 8), (8, 8), (8, 9), (10, 9), (10, 9), (14, 13), (16, 15)],
+    ("detuned", 2, 0.05): [(8, 8), (8, 8), (8, 9), (10, 11), (12, 11), (14, 13), (18, 17), (22, 23)],
+    ("detuned", 2, 0.2): [(8, 8), (9, 9), (11, 13), (13, 14), (18, 17), (20, 20), (26, 27), (34, 34)],
+    ("detuned", 3, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (10, 9), (12, 13)],
+    ("detuned", 3, 0.01): [(8, 8), (8, 8), (8, 8), (10, 9), (10, 11), (13, 12), (16, 15), (20, 21)],
+    ("detuned", 3, 0.05): [(8, 8), (8, 8), (9, 10), (12, 11), (14, 15), (17, 16), (22, 22), (29, 29)],
+    ("detuned", 3, 0.2): [(8, 8), (10, 10), (12, 13), (17, 16), (20, 21), (24, 25), (33, 33), (43, 43)],
+    ("detuned", 4, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 9), (12, 11), (16, 17)],
+    ("detuned", 4, 0.01): [(8, 8), (8, 8), (8, 9), (10, 9), (12, 11), (14, 15), (20, 19), (26, 27)],
+    ("detuned", 4, 0.05): [(8, 8), (8, 9), (10, 10), (13, 12), (16, 15), (18, 19), (27, 27), (36, 35)],
+    ("detuned", 4, 0.2): [(8, 8), (10, 11), (13, 14), (19, 19), (24, 24), (28, 29), (39, 39), (51, 51)],
+    ("lambda_z-u", 1, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 9)],
+    ("lambda_z-u", 1, 0.01): [(8, 8), (8, 8), (8, 9), (8, 9), (10, 9), (10, 9), (12, 13), (16, 15)],
+    ("lambda_z-u", 1, 0.05): [(8, 8), (8, 8), (9, 10), (10, 11), (12, 11), (14, 13), (16, 17), (22, 23)],
+    ("lambda_z-u", 1, 0.2): [(8, 8), (10, 9), (12, 13), (14, 15), (18, 17), (20, 19), (27, 27), (34, 35)],
+    ("lambda_z-u", 2, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (12, 11), (16, 15)],
+    ("lambda_z-u", 2, 0.01): [(8, 8), (8, 8), (8, 9), (10, 9), (11, 11), (14, 13), (20, 19), (26, 27)],
+    ("lambda_z-u", 2, 0.05): [(8, 8), (8, 9), (10, 11), (14, 13), (15, 16), (19, 19), (27, 27), (36, 35)],
+    ("lambda_z-u", 2, 0.2): [(8, 8), (12, 13), (14, 15), (20, 19), (24, 24), (29, 29), (40, 40), (52, 53)],
+    ("lambda_z-u", 3, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 9), (10, 11), (16, 15), (22, 23)],
+    ("lambda_z-u", 3, 0.01): [(8, 8), (8, 9), (10, 9), (11, 11), (14, 15), (18, 18), (26, 27), (36, 37)],
+    ("lambda_z-u", 3, 0.05): [(8, 8), (9, 10), (12, 11), (15, 15), (20, 20), (24, 25), (36, 35), (48, 47)],
+    ("lambda_z-u", 3, 0.2): [(8, 8), (12, 13), (18, 17), (24, 24), (30, 30), (36, 37), (52, 51), (68, 69)],
+    ("lambda_z-u", 4, 0.0): [(8, 8), (8, 8), (8, 8), (8, 8), (10, 11), (14, 13), (20, 21), (30, 29)],
+    ("lambda_z-u", 4, 0.01): [(8, 8), (8, 9), (10, 9), (14, 13), (16, 17), (22, 21), (32, 33), (46, 45)],
+    ("lambda_z-u", 4, 0.05): [(8, 8), (10, 11), (14, 13), (18, 19), (24, 23), (30, 29), (43, 43), (58, 59)],
+    ("lambda_z-u", 4, 0.2): [(9, 9), (13, 14), (20, 20), (28, 27), (35, 35), (43, 43), (62, 62), (83, 83)],
+    ("g=0", 1): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (9, 8)],
+    ("g=0", 2): [(8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (8, 8), (10, 11), (16, 15)],
+    ("g=0", 3): [(8, 8), (8, 8), (8, 8), (8, 8), (9, 8), (11, 10), (15, 16), (21, 22)],
+    ("g=0", 4): [(8, 8), (8, 8), (8, 8), (8, 9), (10, 11), (12, 13), (20, 19), (28, 29)],
+}
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_auto_nmax_reproduces_the_wider_table(n_atoms):
+    for name, couplings in _AUTO_NMAX_TEMPLATES.items():
+        template = ModelParams(n_atoms=n_atoms, **couplings)
+        g_c = critical_coupling(template)
+        for gp in (0.0, 0.01, 0.05, 0.2):
+            found = [
+                tuple(auto_nmax(replace(template, g=r * g_c, g_prime=gp * r * g_c), parity) for parity in (1, -1))
+                for r in _AUTO_NMAX_RATIOS
+            ]
+            assert found == _AUTO_NMAX_WIDER_TABLE[(name, n_atoms, gp)], f"{name}, g'/g = {gp}"
+    found = [
+        tuple(auto_nmax(ModelParams(g_prime=r, n_atoms=n_atoms), parity) for parity in (1, -1))
+        for r in _AUTO_NMAX_RATIOS
+    ]
+    assert found == _AUTO_NMAX_WIDER_TABLE[("g=0", n_atoms)]
+
+
 def test_auto_nmax_rejects_a_bad_parity():
     with pytest.raises(ValueError, match="parity"):
         auto_nmax(ModelParams(g=1.0, g_prime=0.1, n_atoms=2), 0)
@@ -368,6 +431,60 @@ def test_auto_nmax_assembles_nothing_past_the_cap(monkeypatch):
     with pytest.raises(RuntimeError, match="cap of 32"):
         auto_nmax(ModelParams(g=5.0, g_prime=1.0, n_atoms=4), 1)
     assert max(sizes) == 32 + 10
+
+
+def _expand_band(ab, k):
+    """Dense symmetric k x k matrix from the leading k columns of the lower
+    band storage ``ab``, reading only entries inside that block."""
+    h = np.zeros((k, k))
+    for d in range(min(ab.shape[0], k)):
+        h[np.arange(d, k), np.arange(k - d)] = ab[d, : k - d]
+    return h + np.tril(h, -1).T
+
+
+_BAND_COUPLINGS = [
+    pytest.param({"g": 1.3, "g_prime": 0.4}, id="crw"),
+    pytest.param({"g": 1.3}, id="no-crw"),
+    pytest.param({"g_prime": 0.7}, id="crw-only"),
+]
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("couplings", _BAND_COUPLINGS)
+def test_parity_band_expands_to_the_parity_block(n_atoms, couplings):
+    params = ModelParams(omega_a=1.1, omega_b=0.9, lambda_z=0.2, u=-0.1, n_atoms=n_atoms, **couplings)
+    n_big = 30
+    h = model.build_full_hamiltonian(params, n_big)
+    for idx in model.parity_blocks(n_atoms, n_big):
+        ab = ed._parity_band(h, idx, n_atoms)
+        assert np.array_equal(_expand_band(ab, idx.size), h[np.ix_(idx, idx)])
+        for n in (1, 7, 12, 29):
+            small = model.build_full_hamiltonian(params, n)
+            rows = idx[idx < small.shape[0]]
+            assert np.array_equal(_expand_band(ab, rows.size), small[np.ix_(rows, rows)])
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("couplings", _BAND_COUPLINGS)
+def test_band_lowest_matches_dense_eigvalsh(n_atoms, couplings):
+    params = ModelParams(omega_a=1.1, omega_b=0.9, n_atoms=n_atoms, **couplings)
+    h = model.build_full_hamiltonian(params, 40)
+    for idx in model.parity_blocks(n_atoms, 40):
+        ab = ed._parity_band(h, idx, n_atoms)
+        for k in (1, 2, 3, 17, idx.size):
+            dense = np.linalg.eigvalsh(h[np.ix_(idx[:k], idx[:k])])
+            lowest = ed._band_lowest(ab, k)
+            assert lowest.size == min(3, k)
+            assert np.abs(lowest - dense[:3]).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+
+
+def test_auto_nmax_raises_when_dsbevx_fails(monkeypatch):
+    def failing(ab, *args, **kwargs):
+        return np.zeros(ab.shape[1]), np.zeros((1, 1)), 0, np.zeros(1, dtype=np.int32), 2
+
+    monkeypatch.setattr(ed, "dsbevx", failing)
+    with pytest.raises(EigenError, match="info = 2"):
+        auto_nmax(ModelParams(g=1.0, g_prime=0.1, n_atoms=2), 1)
 
 
 def test_anomalous_demo_scan_writes_the_recorded_file(tmp_path):

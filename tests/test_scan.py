@@ -454,3 +454,11 @@ def test_cli_compare_rejects_rows_whose_cell_count_differs_from_the_header(tmp_p
     assert "higgs.csv" in err and f"line {line}" in err
     (data / "higgs.csv").write_text(",".join(_COLUMNS) + "\n" + valid + "\n")
     assert main(["compare", str(data)]) == 0
+
+
+def test_cli_compare_rejects_a_directory_with_no_data_rows(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "higgs.csv").write_text(",".join(_COLUMNS) + "\n")
+    assert main(["compare", str(data)]) == 2
+    assert "no rows to compare" in capsys.readouterr().err

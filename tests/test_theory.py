@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dickelab import theory
 from dickelab.model import ModelParams
 from dickelab.theory import (
     EffectiveTheory,
@@ -214,3 +215,17 @@ def test_predictions_continuous_in_g_except_alpha_jumps():
     gs = np.linspace(2.0, 2.1, 200)
     eh = np.array([predictions(replace(base, g=float(g))).e_higgs for g in gs])
     assert np.abs(np.diff(eh)).max() < 0.01
+
+
+@pytest.mark.parametrize("entry", [effective_theory, predictions])
+def test_theory_entries_evaluate_the_saddle_point_once(monkeypatch, entry):
+    calls = []
+    real = theory.saddle_point
+
+    def counting(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(theory, "saddle_point", counting)
+    entry(N3_G2)
+    assert calls == [N3_G2]
