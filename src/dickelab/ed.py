@@ -60,6 +60,8 @@ _NMAX_FLOOR = 8
 _NMAX_STEP = 10
 # Bisection to full relative accuracy: LAPACK recommends 2 * safe minimum.
 _BISECTION_ABSTOL = 2 * np.finfo(float).tiny
+# Machine epsilon; the sector screen's kappa is a multiple of it.
+_EPS = np.finfo(float).eps
 # Sectors whose ground energies differ by at most this are tied; P* is the
 # smaller one.
 _TIE_WINDOW = 1e-12
@@ -194,43 +196,56 @@ def _candidate_sectors(params: ModelParams, x: float) -> tuple[list[int], int]:
     + |x|) at P = P_stop serves every call, so the calls cannot change the
     result.
 
+    A zero lambda_z or u term is not evaluated: a_s is then the scalar
+    omega_a and b_s = omega_b m, bit for bit what omega_a + (+-0.0) m and
+    (omega_b + (+-0.0) m) m give, as omega_a and omega_b are nonzero.
+    c_s = b_s - s a_s is formed once for every call.
+
     Raises ValueError if some a_s <= kappa A: omega_a <= |lambda_z| makes
     H unbounded below.
     """
     N = params.n_atoms
     s = np.arange(N + 1.0)
     m = s - N / 2
-    a = params.omega_a + (params.lambda_z / params.j) * m
-    b = (params.omega_b + (params.u / params.j) * m) * m
+    if params.lambda_z != 0:
+        a = params.omega_a + (params.lambda_z / params.j) * m
+        a_min = a.min()
+    else:
+        a = a_min = params.omega_a
+    b = (params.omega_b + (params.u / params.j) * m) * m if params.u != 0 else params.omega_b * m
     k = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s))
-    kappa = 16 * (N + 1) * np.finfo(float).eps
+    kappa = 16 * (N + 1) * _EPS
     big_a = params.omega_a + abs(params.lambda_z)
     big_b = (params.omega_b + abs(params.u)) * N / 2
     big_k = k.max()
 
-    alpha = a - kappa * big_a
-    if not alpha.min() > 0:
+    # rounding is monotone, so this is min_s (a_s - kappa A) > 0
+    if not a_min - kappa * big_a > 0:
         raise ValueError(f"H is unbounded below: omega_a = {params.omega_a}, lambda_z = {params.lambda_z}")
-    beta = k + np.append(0.0, k[:-1]) + 2 * kappa * big_k
+    alpha = a - kappa * big_a
+    beta = k.copy()
+    beta[1:] += k[:-1]
+    beta += 2 * kappa * big_k
     gamma = a - b + (x + kappa * (big_a * N + big_b + 2 * big_k * math.sqrt(N) + abs(x)))
     t = (beta + np.sqrt(np.maximum(beta * beta + 4 * alpha * gamma, 0.0))) / (2 * alpha)
     p_stop = math.floor((s + t * t).max() * (1 + 1e-6))
 
     y = x + kappa * (big_a * p_stop + big_b + 2 * big_k * math.sqrt(p_stop) + abs(x))
-    p = np.arange(p_stop + 1)
+    c = b - s * a
     per_call = max(1, _BAND_BLOCK // (N + 1))
     reaching = []
-    for start in range(0, p.size, per_call):
-        chunk = p[start : start + per_call, np.newaxis]
+    for start in range(0, p_stop + 1, per_call):
+        chunk = np.arange(start, min(start + per_call, p_stop + 1))[:, np.newaxis]
         n = chunk - s
-        diag = chunk * a + (b - s * a)
+        diag = chunk * a + c
         diag[n < 0] = 2 * abs(y) + 1
         off = k * np.sqrt(np.maximum(n, 0.0))
         found, _, iblock, isplit, info = dstebz(diag.ravel(), off.ravel()[:-1], 1, -np.inf, y, 0, 0, np.inf, "B")
         if info != 0:
             raise eigen.EigenError(f"Sturm count failed on sectors {chunk[0, 0]}..{chunk[-1, 0]} (info = {info})")
         # isplit holds the last row of each block, 1-based
-        reaching.extend(chunk[np.unique((isplit[iblock[:found] - 1] - 1) // (N + 1)), 0].tolist())
+        rows = ((isplit[iblock[:found] - 1] - 1) // (N + 1)).tolist()
+        reaching.extend(sorted({start + row for row in rows}))
     return reaching, p_stop
 
 
@@ -269,7 +284,8 @@ def solve_ground(params: ModelParams, tol: float = DEFAULT_EIGEN_TOL) -> GroundS
     spec = solve_sector(params, p_star, tol=tol)
     spec_next = solve_sector(params, p_star + 1, tol=tol)
     for s in (spec, spec_next):
-        if abs(s.energies[0] - e0[s.p]) > tol * max(1.0, np.abs(s.energies).max()):
+        # energies ascend, so max |E| is at one end
+        if abs(s.energies[0] - e0[s.p]) > tol * max(1.0, abs(s.energies[0]), abs(s.energies[-1])):
             raise eigen.EigenError(
                 f"sector P = {s.p}: certified ground energy {s.energies[0]!r} "
                 f"differs from bisection {e0[s.p]!r}"

@@ -165,21 +165,25 @@ def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
         H[s, s]   = omega_a (P-s) + omega_b m
                     + lambda_z m (P-s)/j + u m^2/j
         H[s, s+1] = (g/sqrt(N)) sqrt((s+1)(N-s)) sqrt(P-s)
+
+    A lambda_z or u term whose coupling is zero (either sign) is not
+    evaluated.  That is exact: the term would be +-0.0, and adding +-0.0
+    leaves every partial sum unchanged because none is -0.0 (omega_a n
+    >= +0.0 with n >= 0, and omega_b m is +0.0 at m = 0).
     """
-    dim = SectorBasis(p=p, n_atoms=params.n_atoms).dim
+    _require_count("p", p, 0)
     if params.g_prime != 0:
         raise ValueError("excitation sectors exist only for g_prime = 0")
     N = params.n_atoms
     j = params.j
-    s = np.arange(dim)
+    s = np.arange(min(p, N) + 1)
     m = s - N / 2
     n = p - s
-    diag = (
-        params.omega_a * n
-        + params.omega_b * m
-        + params.lambda_z * m * n / j
-        + params.u * m**2 / j
-    )
+    diag = params.omega_a * n + params.omega_b * m
+    if params.lambda_z != 0:
+        diag += params.lambda_z * m * n / j
+    if params.u != 0:
+        diag += params.u * m**2 / j
     off = (params.g / math.sqrt(N)) * np.sqrt((s[:-1] + 1) * (N - s[:-1])) * np.sqrt(n[:-1])
     return diag, off
 

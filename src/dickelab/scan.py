@@ -492,7 +492,8 @@ def compare_report(rows: list[ComparisonRow], thresholds: dict | None = None) ->
 
     Rows flagged near_qcp are excluded from enforcement for the
     goldstone and optical quantities.  Quantities without a threshold
-    are reported but not enforced.
+    are reported but not enforced.  A NaN among a quantity's enforced
+    deviations makes its ``max_deviation`` NaN, which fails its threshold.
     """
     if not rows:
         raise ValueError("no rows to compare")
@@ -512,7 +513,8 @@ def compare_report(rows: list[ComparisonRow], thresholds: dict | None = None) ->
             and not (r.near_qcp and quantity in _MASKED_QUANTITIES)
         ]
         threshold = thresholds.get(quantity)
-        max_dev = max(enforced) if enforced else None
+        # np.max propagates NaN; Python's max drops one that is not first
+        max_dev = float(np.max(enforced)) if enforced else None
         passed = None
         if threshold is not None:
             passed = max_dev is not None and max_dev <= threshold

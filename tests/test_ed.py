@@ -736,6 +736,94 @@ def test_sturm_count_survives_an_exactly_zero_pivot():
     assert _dlaebz_screen(params, range(p_stop + 1), x) == [0, 1, 2, 3]  # its y for sector 4 is smaller
 
 
+def _reference_candidate_sectors(params, x):
+    """``ed._candidate_sectors`` as it was before its constant work was cut:
+    every lambda_z and u term evaluated, eps from ``np.finfo`` and the
+    sector map through ``np.unique``."""
+    N = params.n_atoms
+    s = np.arange(N + 1.0)
+    m = s - N / 2
+    a = params.omega_a + (params.lambda_z / params.j) * m
+    b = (params.omega_b + (params.u / params.j) * m) * m
+    k = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s))
+    kappa = 16 * (N + 1) * np.finfo(float).eps
+    big_a = params.omega_a + abs(params.lambda_z)
+    big_b = (params.omega_b + abs(params.u)) * N / 2
+    big_k = k.max()
+
+    alpha = a - kappa * big_a
+    if not alpha.min() > 0:
+        raise ValueError(f"H is unbounded below: omega_a = {params.omega_a}, lambda_z = {params.lambda_z}")
+    beta = k + np.append(0.0, k[:-1]) + 2 * kappa * big_k
+    gamma = a - b + (x + kappa * (big_a * N + big_b + 2 * big_k * math.sqrt(N) + abs(x)))
+    t = (beta + np.sqrt(np.maximum(beta * beta + 4 * alpha * gamma, 0.0))) / (2 * alpha)
+    p_stop = math.floor((s + t * t).max() * (1 + 1e-6))
+
+    y = x + kappa * (big_a * p_stop + big_b + 2 * big_k * math.sqrt(p_stop) + abs(x))
+    p = np.arange(p_stop + 1)
+    per_call = max(1, ed._BAND_BLOCK // (N + 1))
+    reaching = []
+    for start in range(0, p.size, per_call):
+        chunk = p[start : start + per_call, np.newaxis]
+        n = chunk - s
+        diag = chunk * a + (b - s * a)
+        diag[n < 0] = 2 * abs(y) + 1
+        off = k * np.sqrt(np.maximum(n, 0.0))
+        found, _, iblock, isplit, info = ed.dstebz(diag.ravel(), off.ravel()[:-1], 1, -np.inf, y, 0, 0, np.inf, "B")
+        assert info == 0
+        reaching.extend(chunk[np.unique((isplit[iblock[:found] - 1] - 1) // (N + 1)), 0].tolist())
+    return reaching, p_stop
+
+
+_SCREEN_TEMPLATES = {
+    "resonant": {},
+    "detuned": {"omega_a": 1.4, "omega_b": 0.7},
+    "lambda_z-u": {"lambda_z": 0.3, "u": -0.2},
+    "all": {"omega_a": 0.7, "omega_b": 1.3, "lambda_z": -0.4, "u": 0.1},
+    "lambda_z-0.99": {"lambda_z": -0.99},
+}
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 5, 8, 20, 80, 200])
+@pytest.mark.parametrize("template", list(_SCREEN_TEMPLATES))
+def test_screen_equals_the_reference_implementation(template, n_atoms):
+    # the lean screen skips zero lambda_z and u terms and forms its bands
+    # from constants computed once; its sectors and stop are those of the
+    # full evaluation.  lambda_z = -0.99 makes a_s = 0.01 at m = j, so the
+    # stop grows to 10^4-10^5 sectors past g_c; its couplings above g_c
+    # are left out to keep the test short.
+    params0 = ModelParams(n_atoms=n_atoms, **_SCREEN_TEMPLATES[template])
+    ratios = np.linspace(0, 3.5, 15).tolist()
+    if template == "lambda_z-0.99":
+        ratios = ratios[:5]
+    gc = critical_coupling(params0)
+    for ratio in ratios:
+        params = replace(params0, g=ratio * gc)
+        guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
+        e0 = {}
+        ed._bisect_lowest(params, [guess], e0)
+        for shift in (1e-12, 0.05, 1.0):
+            x = e0[guess] + shift
+            assert ed._candidate_sectors(params, x) == _reference_candidate_sectors(params, x)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(lambda_z=-1.0, g=0.5, n_atoms=3),
+        ModelParams(lambda_z=1.5, n_atoms=4),
+        ModelParams(omega_a=0.5, lambda_z=0.5, u=0.1, g=1.0, n_atoms=1),
+        ModelParams(lambda_z=-(1 - 8e-15), n_atoms=2),  # a_s > 0 but below kappa A
+    ],
+)
+def test_screen_raises_as_the_reference_implementation(params):
+    with pytest.raises(ValueError) as expected:
+        _reference_candidate_sectors(params, 0.0)
+    with pytest.raises(ValueError) as got:
+        ed._candidate_sectors(params, 0.0)
+    assert str(got.value) == str(expected.value)
+
+
 def _single_qubit_energies(params, p):
     """Closed form of sector P at N = 1: the 2x2 block of |P, down> and
     |P - 1, up>, or the vacuum -omega_b/2."""

@@ -10,6 +10,7 @@ from dickelab.model import (
     build_full_hamiltonian,
     build_sector_hamiltonian,
     parity_blocks,
+    sector_bands,
 )
 
 
@@ -113,6 +114,44 @@ def test_sector_hamiltonian_rejects_counter_rotating():
         build_sector_hamiltonian(params, 1)
     with pytest.raises(ValueError):
         build_sector_hamiltonian(ModelParams(n_atoms=2), -1)
+
+
+def _reference_sector_diag(params, p):
+    """The sector diagonal with all four terms evaluated, zero couplings too."""
+    N = params.n_atoms
+    s = np.arange(min(p, N) + 1)
+    m = s - N / 2
+    n = p - s
+    return (
+        params.omega_a * n
+        + params.omega_b * m
+        + params.lambda_z * m * n / params.j
+        + params.u * m**2 / params.j
+    )
+
+
+@pytest.mark.parametrize("lambda_z", [0.0, -0.0, 0.3])
+@pytest.mark.parametrize("u", [0.0, -0.0, -0.2])
+def test_sector_bands_equal_the_four_term_diagonal(lambda_z, u):
+    # sector_bands skips a lambda_z or u term whose coupling is zero; the
+    # skipped term is +-0.0 and no partial sum is -0.0, so the bits agree
+    for omega_a, omega_b in ((1.0, 1.0), (1.4, 0.7), (1, 2)):
+        for n_atoms in range(1, 9):
+            params = ModelParams(omega_a=omega_a, omega_b=omega_b, g=0.7, lambda_z=lambda_z, u=u, n_atoms=n_atoms)
+            for p in range(3 * n_atoms + 3):
+                diag, off = sector_bands(params, p)
+                expected = _reference_sector_diag(params, p)
+                assert np.array_equal(diag, expected)
+                assert np.array_equal(np.signbit(diag), np.signbit(expected))
+                assert diag.dtype == expected.dtype and off.shape == (diag.size - 1,)
+
+
+def test_sector_bands_reject_a_bad_sector_label():
+    params = ModelParams(n_atoms=2)
+    for p in (-1, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="p must be an integer >= 0"):
+            sector_bands(params, p)
+    assert sector_bands(params, np.int64(3))[0].size == 3
 
 
 def test_full_hamiltonian_conserves_excitation_number_without_crw():

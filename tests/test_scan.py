@@ -270,6 +270,27 @@ def test_compare_report_unthresholded_quantities_reported_only():
     assert report.quantities[0].passed is None
 
 
+@pytest.mark.parametrize("devs", [[0.01, math.nan], [math.nan, 0.01], [0.0, math.nan, 0.02]])
+def test_compare_report_fails_a_nan_deviation_in_any_row(devs):
+    report = compare_report([_row("higgs", dev) for dev in devs])
+    q = report.quantities[0]
+    assert math.isnan(q.max_deviation) and q.passed is False
+    assert not report.passed
+
+
+@pytest.mark.parametrize("devs", [["0.01", "nan"], ["nan", "0.01"]])
+def test_cli_compare_fails_a_nan_deviation_in_any_row(tmp_path, capsys, devs):
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = [f"higgs,{2.0 + i / 10},{2.0 + i / 10},5,1.0,1.0,{dev},false" for i, dev in enumerate(devs)]
+    (data / "higgs.csv").write_text("\n".join([",".join(_COLUMNS), *lines]) + "\n")
+    assert main(["compare", str(data)]) == 1
+    out = capsys.readouterr().out
+    higgs = next(line for line in out.splitlines() if line.startswith("higgs"))
+    assert higgs.split()[3] == "nan" and higgs.split()[-1] == "FAIL"
+    assert "overall: FAIL" in out
+
+
 def test_compare_report_rejects_empty():
     with pytest.raises(ValueError):
         compare_report([])
