@@ -50,10 +50,12 @@ __all__ = [
     "solve_full",
     "auto_nmax",
     "DEFAULT_EIGEN_TOL",
+    "DEFAULT_TRUNCATION_TOL",
     "NMAX_CAP",
 ]
 
 DEFAULT_EIGEN_TOL = 1e-8
+DEFAULT_TRUNCATION_TOL = 1e-8
 NMAX_CAP = 4096
 # auto_nmax: the first Fock truncation it tries, and its convergence step.
 _NMAX_FLOOR = 8
@@ -400,7 +402,7 @@ def _band_lowest(ab: np.ndarray, k: int) -> np.ndarray:
     return w[:m]
 
 
-def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
+def auto_nmax(params: ModelParams, parity: int, tol: float = DEFAULT_TRUNCATION_TOL) -> int:
     """Smallest Fock truncation with converged low-lying energies.
 
     Doubles n_max from ``_NMAX_FLOOR`` until the lowest three energies of
@@ -415,7 +417,9 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
     storage (``_parity_band``: (N + 3) // 2 sub-diagonals hold every
     nonzero), and truncation n is its leading k = #{index < (n + 1)(N + 1)}
     columns, whose three lowest eigenvalues come from one LAPACK
-    ``dsbevx`` call (RANGE = 'I', bisection to full relative accuracy).
+    ``dsbevx`` call per comparison (RANGE = 'I', bisection to full
+    relative accuracy); it reads only the band of those k columns, alike
+    in every step's storage, so the eigenvalues do not depend on the step.
     Comparisons use eigenvalues only; callers certify the returned n_max
     with ``solve_full``.
 
@@ -433,16 +437,13 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = 1e-8) -> int:
     if parity not in (1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
     N = params.n_atoms
-    lowest_cache: dict[int, np.ndarray] = {}
 
     def band(n_big: int) -> tuple[np.ndarray, np.ndarray]:
         idx = parity_blocks(N, n_big)[0 if parity == 1 else 1]
         return idx, _parity_band(build_full_hamiltonian(params, n_big), idx, N)
 
     def lowest(n: int) -> np.ndarray:
-        if n not in lowest_cache:
-            lowest_cache[n] = _band_lowest(ab, int(np.searchsorted(idx, (n + 1) * (N + 1))))
-        return lowest_cache[n]
+        return _band_lowest(ab, int(np.searchsorted(idx, (n + 1) * (N + 1))))
 
     def converged(n: int) -> bool:
         a, b = lowest(n), lowest(n + _NMAX_STEP)

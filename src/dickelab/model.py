@@ -207,33 +207,28 @@ def build_full_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
     couples (n, s) <-> (n+1, s+1) with (g'/sqrt(N)) sqrt(n+1)
     sqrt((s+1)(N-s)).  Couplings that would leave the truncation are
     dropped, so with g' = 0 the matrix commutes exactly with n + s.
+
+    H is written as strided diagonals of its row-major entries: the
+    diagonal, and each coupling at flat offset N (rotating) or N + 2
+    (counter-rotating), above and below, on every row i < dim - offset.
+    That drops no coupling and adds none: where s -+ 1 would leave 0..N
+    the spin factor is zero, every other such row has n < n_max.
     """
     basis = FullBasis(n_atoms=params.n_atoms, n_max=n_max)
     N = params.n_atoms
     j = params.j
-    n, s = np.divmod(np.arange(basis.dim), N + 1)
+    dim = basis.dim
+    n, s = np.divmod(np.arange(dim), N + 1)
     m = s - N / 2
-    h = np.zeros((basis.dim, basis.dim))
-    h[np.arange(basis.dim), np.arange(basis.dim)] = (
-        params.omega_a * n
-        + params.omega_b * m
-        + params.lambda_z * m * n / j
-        + params.u * m**2 / j
-    )
-    # rotating: (n, s) -> (n+1, s-1)
-    src = np.where((n + 1 <= n_max) & (s >= 1))[0]
-    if src.size and params.g != 0:
-        dst = src + (N + 1) - 1
-        val = (params.g / np.sqrt(N)) * np.sqrt(n[src] + 1) * np.sqrt(s[src] * (N - s[src] + 1))
-        h[src, dst] += val
-        h[dst, src] += val
-    # counter-rotating: (n, s) -> (n+1, s+1)
-    src = np.where((n + 1 <= n_max) & (s + 1 <= N))[0]
-    if src.size and params.g_prime != 0:
-        dst = src + (N + 1) + 1
-        val = (params.g_prime / np.sqrt(N)) * np.sqrt(n[src] + 1) * np.sqrt((s[src] + 1) * (N - s[src]))
-        h[src, dst] += val
-        h[dst, src] += val
+    h = np.zeros((dim, dim))
+    flat = h.ravel()
+    flat[:: dim + 1] = params.omega_a * n + params.omega_b * m + params.lambda_z * m * n / j + params.u * m**2 / j
+    for offset, coupling, spin in ((N, params.g, s * (N - s + 1)), (N + 2, params.g_prime, (s + 1) * (N - s))):
+        rows = max(dim - offset, 0)
+        band = (coupling / np.sqrt(N)) * np.sqrt(n[:rows] + 1) * np.sqrt(spin[:rows])
+        # h[i, i + offset]; the stop keeps the slice from wrapping into the lower triangle
+        flat[offset : rows * dim : dim + 1] = band
+        flat[offset * dim :: dim + 1] = band  # h[i + offset, i]
     return h
 
 

@@ -51,7 +51,7 @@ class SpectralLine:
 class CorrelationSpectrum:
     """Lines of one correlation channel, energies ascending.
 
-    ``kind`` is "photon" (a a'), "number" (n n) or "anomalous" (a a);
+    ``kind`` is "photon" (a a') or "number" (n n);
     ``p_from``/``p_to`` are the bra/ket sectors of the matrix elements.
     """
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ed import DEFAULT_EIGEN_TOL, auto_nmax, solve_full, solve_ground
+from .ed import DEFAULT_EIGEN_TOL, DEFAULT_TRUNCATION_TOL, auto_nmax, solve_full, solve_ground
 from .model import ModelParams
 from .observables import anomalous_weight, mandel_q, number_correlation, photon_correlation
 from .theory import critical_coupling, effective_theory, predictions, saddle_point
@@ -91,7 +91,7 @@ class ScanConfig:
     formats: tuple[str, ...] = ("csv",)
     gprime_over_g: float | None = None
     eigen_tol: float = DEFAULT_EIGEN_TOL
-    truncation_tol: float = 1e-8
+    truncation_tol: float = DEFAULT_TRUNCATION_TOL
 
     def params_at(self, ratio: float) -> ModelParams:
         """Model parameters at the grid point g/g_c = ratio; g' is
@@ -150,6 +150,21 @@ def _number(errors: list[str], value, low: float, message: str, inclusive=False,
         return float(value)
     errors.append(f"{message}, got {value!r}")
     return None
+
+
+def _choices(errors: list[str], value, key: str, valid: tuple[str, ...]) -> tuple[str, ...]:
+    """``value`` without repeats if it is a non-empty list of items of
+    ``valid``; otherwise (), with the problem appended to ``errors``.
+    Items are compared by equality, so an unhashable item is reported as
+    unknown, not raised."""
+    if not isinstance(value, list) or not value:
+        errors.append(f"'{key}' must be a non-empty list")
+        return ()
+    bad = [item for item in value if item not in valid]
+    if bad:
+        errors.append(f"unknown {key} {bad}; valid: {list(valid)}")
+        return ()
+    return tuple(dict.fromkeys(value))
 
 
 def parse_config(source) -> ScanConfig:
@@ -215,35 +230,19 @@ def parse_config(source) -> ScanConfig:
     else:
         errors.append("'grid' must be a non-empty list or a {start, stop, count} object")
 
-    quantities_raw = raw.get("quantities")
-    quantities: tuple[str, ...] = ()
-    if not isinstance(quantities_raw, list) or not quantities_raw:
-        errors.append("'quantities' must be a non-empty list")
-    else:
-        bad = [q for q in quantities_raw if q not in QUANTITIES]
-        if bad:
-            errors.append(f"unknown quantities {bad}; valid: {list(QUANTITIES)}")
-        quantities = tuple(dict.fromkeys(quantities_raw))
+    quantities = _choices(errors, raw.get("quantities"), "quantities", QUANTITIES)
 
     if "output_dir" not in raw or not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
         errors.append("'output_dir' must be a non-empty string")
 
-    formats_raw = raw.get("formats", ["csv"])
-    formats: tuple[str, ...] = ("csv",)
-    if not isinstance(formats_raw, list) or not formats_raw:
-        errors.append("'formats' must be a non-empty list")
-    else:
-        bad = [f for f in formats_raw if f not in FORMATS]
-        if bad:
-            errors.append(f"unknown formats {bad}; valid: {list(FORMATS)}")
-        formats = tuple(dict.fromkeys(formats_raw))
+    formats = _choices(errors, raw.get("formats", ["csv"]), "formats", FORMATS)
 
     gprime_over_g = raw.get("gprime_over_g")
     if gprime_over_g is not None:
         gprime_over_g = _number(errors, gprime_over_g, 0, "gprime_over_g must be a finite number >= 0",
                                 inclusive=True)
 
-    tols = {"eigen": DEFAULT_EIGEN_TOL, "truncation": 1e-8}
+    tols = {"eigen": DEFAULT_EIGEN_TOL, "truncation": DEFAULT_TRUNCATION_TOL}
     tols_raw = raw.get("tolerances", {})
     if not isinstance(tols_raw, dict):
         errors.append("'tolerances' must be an object")

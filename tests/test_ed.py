@@ -478,6 +478,24 @@ def test_band_lowest_matches_dense_eigvalsh(n_atoms, couplings):
             assert np.abs(lowest - dense[:3]).max() <= 1e-12 * max(1.0, np.abs(dense).max())
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 5])
+@pytest.mark.parametrize("couplings", _BAND_COUPLINGS)
+def test_band_lowest_ignores_storage_past_the_leading_columns(n_atoms, couplings):
+    # auto_nmax compares a truncation in whichever doubling step it meets it
+    params = ModelParams(omega_a=1.1, omega_b=0.9, lambda_z=0.2, u=-0.1, n_atoms=n_atoms, **couplings)
+    for parity in (0, 1):
+        storages = []
+        for n_big in (26, 42):
+            idx = model.parity_blocks(n_atoms, n_big)[parity]
+            storages.append((idx, ed._parity_band(model.build_full_hamiltonian(params, n_big), idx, n_atoms)))
+        for n in (8, 13, 16, 26):
+            found = []
+            for idx, ab in storages:
+                k = int(np.searchsorted(idx, (n + 1) * (n_atoms + 1)))
+                found.append([x.hex() for x in ed._band_lowest(ab, k).tolist()])
+            assert found[0] == found[1], (parity, n)
+
+
 def test_auto_nmax_raises_when_dsbevx_fails(monkeypatch):
     def failing(ab, *args, **kwargs):
         return np.zeros(ab.shape[1]), np.zeros((1, 1)), 0, np.zeros(1, dtype=np.int32), 2

@@ -181,6 +181,56 @@ def test_full_hamiltonian_single_counter_rotating_element():
     assert np.all(off == 0.0)
 
 
+def _mask_and_scatter_full_hamiltonian(params, n_max):
+    """Reference assembly of the full H: the diagonal, then each coupling
+    scattered onto the source rows that a mask keeps inside the truncation."""
+    N = params.n_atoms
+    j = params.j
+    dim = FullBasis(n_atoms=N, n_max=n_max).dim
+    n, s = np.divmod(np.arange(dim), N + 1)
+    m = s - N / 2
+    h = np.zeros((dim, dim))
+    h[np.arange(dim), np.arange(dim)] = (
+        params.omega_a * n + params.omega_b * m + params.lambda_z * m * n / j + params.u * m**2 / j
+    )
+    # rotating: (n, s) -> (n+1, s-1)
+    src = np.where((n + 1 <= n_max) & (s >= 1))[0]
+    if src.size and params.g != 0:
+        dst = src + (N + 1) - 1
+        val = (params.g / np.sqrt(N)) * np.sqrt(n[src] + 1) * np.sqrt(s[src] * (N - s[src] + 1))
+        h[src, dst] += val
+        h[dst, src] += val
+    # counter-rotating: (n, s) -> (n+1, s+1)
+    src = np.where((n + 1 <= n_max) & (s + 1 <= N))[0]
+    if src.size and params.g_prime != 0:
+        dst = src + (N + 1) + 1
+        val = (params.g_prime / np.sqrt(N)) * np.sqrt(n[src] + 1) * np.sqrt((s[src] + 1) * (N - s[src]))
+        h[src, dst] += val
+        h[dst, src] += val
+    return h
+
+
+@pytest.mark.parametrize(
+    "couplings",
+    [
+        pytest.param({}, id="uncoupled"),
+        pytest.param({"g": 1.3}, id="no-crw"),
+        pytest.param({"g": 1.3, "g_prime": 0.2}, id="crw"),
+        pytest.param({"g_prime": 0.4}, id="crw-only"),
+        pytest.param({"omega_a": 1.4, "omega_b": 0.7, "lambda_z": 0.3, "u": -0.2, "g": 1.1, "g_prime": 0.2},
+                     id="detuned-lambda_z-u"),
+        pytest.param({"omega_a": 0.7, "omega_b": 1.3, "lambda_z": -0.4, "u": 0.1, "g": 0.9, "g_prime": 0.3},
+                     id="red-detuned-lambda_z-u"),
+    ],
+)
+def test_full_hamiltonian_equals_the_mask_and_scatter_assembly(couplings):
+    for n_atoms in range(1, 9):
+        for n_max in (0, 1, 2, 5, 13, 40):
+            params = ModelParams(n_atoms=n_atoms, **couplings)
+            h = build_full_hamiltonian(params, n_max)
+            assert h.tobytes() == _mask_and_scatter_full_hamiltonian(params, n_max).tobytes(), (n_atoms, n_max)
+
+
 def test_parity_blocks_small_cases():
     even, odd = parity_blocks(1, 1)  # flat index n * (N + 1) + s
     assert sorted(divmod(int(i), 2) for i in even) == [(0, 0), (1, 1)]

@@ -125,6 +125,32 @@ def test_parse_config_rejects_invalid_values(tmp_path, overrides, message):
         parse_config(_config_dict(tmp_path, **overrides))
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param({"quantities": [{"a": 1}]}, r"unknown quantities \[\{'a': 1\}\]", id="dict-quantity"),
+        pytest.param({"quantities": ["higgs", ["mandel"]]}, r"unknown quantities \[\['mandel'\]\]", id="list-quantity"),
+        pytest.param({"quantities": [1, "goldstone"], "gprime_over_g": 0.1}, r"unknown quantities \[1\]",
+                     id="int-quantity-with-crw"),
+        pytest.param({"formats": [["csv"]]}, r"unknown formats \[\['csv'\]\]; valid: \['csv', 'json'\]",
+                     id="list-format"),
+        pytest.param({"formats": ["csv", {"json": 1}]}, r"unknown formats \[\{'json': 1\}\]", id="dict-format"),
+    ],
+)
+def test_unhashable_or_mixed_choices_are_config_errors(tmp_path, capsys, overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(_config_dict(tmp_path, **overrides))
+    assert main(["scan", str(_write_config(tmp_path, **overrides))]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and "Traceback" not in err
+
+
+def test_parse_config_drops_repeated_choices(tmp_path):
+    config = parse_config(_config_dict(tmp_path, quantities=["higgs", "mandel", "higgs"], formats=["json", "csv", "json"]))
+    assert config.quantities == ("higgs", "mandel")
+    assert config.formats == ("json", "csv")
+
+
 def test_parse_config_accepts_and_ignores_workers(tmp_path):
     config = parse_config(_config_dict(tmp_path, workers=3))
     assert config == parse_config(_config_dict(tmp_path))
