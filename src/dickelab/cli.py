@@ -1,7 +1,7 @@
 """Command line entry points: scan, compare, oracle.
 
-Exit codes: 0 success/pass, 1 threshold or check failure, 2 config/IO
-error.
+Exit codes: 0 success/pass, 1 threshold or check failure (an uncaught
+EigenError), 2 config/IO error or a Fock cutoff past ``ed.NMAX_CAP``.
 """
 
 import argparse
@@ -9,6 +9,7 @@ import json
 import sys
 from pathlib import Path
 
+from .ed import TruncationError
 from .oracle import oracle_check
 from .scan import ConfigError, compare_report, load_rows, parse_config, parse_thresholds, run_scan
 
@@ -26,6 +27,9 @@ def _cmd_scan(args) -> int:
         written = run_scan(config)
     except OSError as exc:
         print(f"cannot write scan output: {exc}", file=sys.stderr)
+        return 2
+    except TruncationError as exc:
+        print(exc, file=sys.stderr)
         return 2
     for path in written:
         print(path)

@@ -18,7 +18,7 @@ conserves n + s or n - s is solved chain by chain, tridiagonal with zeros
 between chains; ``eigen.eigh`` splits such a matrix (or a diagonal sector
 at g = 0) at its zeros, so eigenvectors are exactly zero off their chain.
 The Fock-cutoff search compares truncations of a parity block by their
-three lowest eigenvalues, from LAPACK ``dsbevx`` on its band storage.
+three lowest eigenvalues, from LAPACK ``dsbevx`` on ``parity_band``.
 """
 
 import math
@@ -34,6 +34,7 @@ from .model import (
     SectorBasis,
     build_full_hamiltonian,
     build_sector_hamiltonian,
+    parity_band,
     parity_blocks,
     sector_bands,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "DEFAULT_EIGEN_TOL",
     "DEFAULT_TRUNCATION_TOL",
     "NMAX_CAP",
+    "TruncationError",
 ]
 
 DEFAULT_EIGEN_TOL = 1e-8
@@ -69,6 +71,10 @@ _EPS = np.finfo(float).eps
 _TIE_WINDOW = 1e-12
 # Band elements that one dstebz call of _candidate_sectors covers.
 _BAND_BLOCK = 2**14
+
+
+class TruncationError(RuntimeError):
+    """No Fock cutoff up to ``NMAX_CAP`` converged."""
 
 
 @dataclass(frozen=True)
@@ -349,8 +355,7 @@ def _parity_layout(params: ModelParams, n_max: int, parity: int):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    even, odd = parity_blocks(params.n_atoms, n_max)
-    idx = even if parity == 1 else odd
+    idx = parity_blocks(params.n_atoms, n_max)[(1 - parity) // 2]
     n, s = np.divmod(idx, params.n_atoms + 1)
     # The rotating term conserves n + s and the counter-rotating one n - s,
     # and each coupling along these chains is nonzero; with both couplings
@@ -370,23 +375,6 @@ def _groups(labels: np.ndarray) -> list[np.ndarray]:
     order = np.argsort(labels, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     return sorted(groups, key=lambda group: group[0])
-
-
-def _parity_band(h: np.ndarray, idx: np.ndarray, n_atoms: int) -> np.ndarray:
-    """LAPACK lower band storage of the parity block ``h[np.ix_(idx, idx)]``
-    (``idx`` ascending): ``ab[d, j] = h[idx[j + d], idx[j]]``.
-
-    The couplings join (n, s) to (n + 1, s -+ 1), N or N + 2 flat indices
-    on, and a parity block holds at most (N + 3) // 2 of any N + 2
-    consecutive indices, so kd = (N + 3) // 2 sub-diagonals hold every
-    nonzero of the block.  Its leading k columns are the band of its
-    leading k x k block.
-    """
-    kd = (n_atoms + 3) // 2
-    ab = np.zeros((kd + 1, idx.size), order="F")
-    for d in range(kd + 1):
-        ab[d, : idx.size - d] = h[idx[d:], idx[: idx.size - d]]
-    return ab
 
 
 def _band_lowest(ab: np.ndarray, k: int) -> np.ndarray:
@@ -412,38 +400,28 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = DEFAULT_TRUNCATION_
     A smaller truncation is a leading principal submatrix of a larger one,
     in ``FullBasis`` order and so in the ascending indices of a parity
     block: the floor check and each doubling step compare truncations of
-    one H assembled at hi + ``_NMAX_STEP``, the bisection those of the
-    last.  Each step stores the parity block once in LAPACK lower band
-    storage (``_parity_band``: (N + 3) // 2 sub-diagonals hold every
-    nonzero), and truncation n is its leading k = #{index < (n + 1)(N + 1)}
-    columns, whose three lowest eigenvalues come from one LAPACK
-    ``dsbevx`` call per comparison (RANGE = 'I', bisection to full
-    relative accuracy); it reads only the band of those k columns, alike
-    in every step's storage, so the eigenvalues do not depend on the step.
-    Comparisons use eigenvalues only; callers certify the returned n_max
-    with ``solve_full``.
+    one ``parity_band`` at hi + ``_NMAX_STEP`` (no dense H), the bisection
+    those of the last.  Truncation n is its leading k = #{index < (n + 1)
+    (N + 1)} columns; one LAPACK ``dsbevx`` call (RANGE = 'I', bisection
+    to full relative accuracy) reads only their band, alike in every
+    step's storage, and gives its three lowest eigenvalues.  Comparisons
+    use eigenvalues only; callers certify the returned n_max with
+    ``solve_full``.
 
     Raises
     ------
     ValueError
         If ``tol`` is not positive or ``parity`` is not +1 or -1.
-    RuntimeError
+    TruncationError
         If no converged truncation exists below ``NMAX_CAP``.
     EigenError
         If ``dsbevx`` fails (info != 0) on a compared truncation.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if parity not in (1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
-    N = params.n_atoms
-
-    def band(n_big: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = parity_blocks(N, n_big)[0 if parity == 1 else 1]
-        return idx, _parity_band(build_full_hamiltonian(params, n_big), idx, N)
 
     def lowest(n: int) -> np.ndarray:
-        return _band_lowest(ab, int(np.searchsorted(idx, (n + 1) * (N + 1))))
+        return _band_lowest(ab, int(np.searchsorted(idx, (n + 1) * (params.n_atoms + 1))))
 
     def converged(n: int) -> bool:
         a, b = lowest(n), lowest(n + _NMAX_STEP)
@@ -451,14 +429,14 @@ def auto_nmax(params: ModelParams, parity: int, tol: float = DEFAULT_TRUNCATION_
         return bool(np.abs(a[:k] - b[:k]).max() < tol)
 
     lo, hi = _NMAX_FLOOR, 2 * _NMAX_FLOOR
-    idx, ab = band(hi + _NMAX_STEP)
+    idx, ab = parity_band(params, hi + _NMAX_STEP, parity)
     if converged(lo):
         return lo
     while not converged(hi):
         lo, hi = hi, 2 * hi
         if hi > NMAX_CAP:
-            raise RuntimeError(f"auto_nmax exceeded the cap of {NMAX_CAP}")
-        idx, ab = band(hi + _NMAX_STEP)
+            raise TruncationError(f"no Fock cutoff converged within the cap of {NMAX_CAP} photons")
+        idx, ab = parity_band(params, hi + _NMAX_STEP, parity)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if converged(mid) else (mid, hi)

@@ -22,7 +22,8 @@ amplitudes unchanged).
 
 A sector is given by its tridiagonal bands (``sector_bands``, or dense
 ``build_sector_hamiltonian``), the truncated full basis by
-``build_full_hamiltonian`` and its two ``parity_blocks``.
+``build_full_hamiltonian``, its ``parity_blocks`` and their bands
+(``parity_band``), both written from the same three diagonals of H.
 """
 
 import math
@@ -39,6 +40,7 @@ __all__ = [
     "build_sector_hamiltonian",
     "build_full_hamiltonian",
     "parity_blocks",
+    "parity_band",
 ]
 
 
@@ -149,11 +151,6 @@ class FullBasis:
     def index(self, n: int, s: int) -> int:
         return n * (self.n_atoms + 1) + s
 
-    def parities(self) -> np.ndarray:
-        """Parity (+1 or -1) of every basis state, in index order."""
-        n, s = np.divmod(np.arange(self.dim), self.n_atoms + 1)
-        return np.where((n + s) % 2 == 0, 1, -1)
-
 
 def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     """``(diag, offdiag)`` of the sector P, of lengths dim and dim - 1.
@@ -198,42 +195,61 @@ def build_sector_hamiltonian(params: ModelParams, p: int) -> np.ndarray:
     return h
 
 
-def build_full_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
-    """Assemble the Hamiltonian on the truncated full basis.
-
-    Rows and columns follow ``FullBasis(params.n_atoms, n_max)`` index
-    order.  The rotating term couples (n, s) <-> (n+1, s-1) with
-    (g/sqrt(N)) sqrt(n+1) sqrt(s(N-s+1)); the counter-rotating term
-    couples (n, s) <-> (n+1, s+1) with (g'/sqrt(N)) sqrt(n+1)
-    sqrt((s+1)(N-s)).  Couplings that would leave the truncation are
-    dropped, so with g' = 0 the matrix commutes exactly with n + s.
-
-    H is written as strided diagonals of its row-major entries: the
-    diagonal, and each coupling at flat offset N (rotating) or N + 2
-    (counter-rotating), above and below, on every row i < dim - offset.
-    That drops no coupling and adds none: where s -+ 1 would leave 0..N
-    the spin factor is zero, every other such row has n < n_max.
-    """
-    basis = FullBasis(n_atoms=params.n_atoms, n_max=n_max)
+def _full_diagonals(params: ModelParams, n_max: int):
+    """Yield ``(offset, values)``, H[i + offset, i] = H[i, i + offset] =
+    values[i] for i < dim - offset (H is zero elsewhere) on ``FullBasis(N,
+    n_max)``: the diagonal at 0, the rotating term (n, s) <-> (n+1, s-1)
+    with (g/sqrt(N)) sqrt(n+1) sqrt(s(N-s+1)) at N and the counter-rotating
+    (n, s) <-> (n+1, s+1) with (g'/sqrt(N)) sqrt(n+1) sqrt((s+1)(N-s)) at
+    N + 2.  No coupling leaves the truncation or is added: where s -+ 1
+    would leave 0..N the spin factor is zero, every other such row has
+    n < n_max; so with g' = 0, H commutes exactly with n + s."""
     N = params.n_atoms
     j = params.j
-    dim = basis.dim
-    n, s = np.divmod(np.arange(dim), N + 1)
+    n, s = np.divmod(np.arange(FullBasis(n_atoms=N, n_max=n_max).dim), N + 1)
     m = s - N / 2
+    yield 0, params.omega_a * n + params.omega_b * m + params.lambda_z * m * n / j + params.u * m**2 / j
+    for offset, coupling, spin in ((N, params.g, s * (N - s + 1)), (N + 2, params.g_prime, (s + 1) * (N - s))):
+        rows = max(n.size - offset, 0)
+        yield offset, (coupling / math.sqrt(N)) * np.sqrt(n[:rows] + 1) * np.sqrt(spin[:rows])
+
+
+def build_full_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
+    """Dense H on ``FullBasis(params.n_atoms, n_max)``: each of the
+    ``_full_diagonals`` is written strided into the row-major entries."""
+    dim = FullBasis(n_atoms=params.n_atoms, n_max=n_max).dim
     h = np.zeros((dim, dim))
     flat = h.ravel()
-    flat[:: dim + 1] = params.omega_a * n + params.omega_b * m + params.lambda_z * m * n / j + params.u * m**2 / j
-    for offset, coupling, spin in ((N, params.g, s * (N - s + 1)), (N + 2, params.g_prime, (s + 1) * (N - s))):
-        rows = max(dim - offset, 0)
-        band = (coupling / np.sqrt(N)) * np.sqrt(n[:rows] + 1) * np.sqrt(spin[:rows])
+    for offset, values in _full_diagonals(params, n_max):
         # h[i, i + offset]; the stop keeps the slice from wrapping into the lower triangle
-        flat[offset : rows * dim : dim + 1] = band
-        flat[offset * dim :: dim + 1] = band  # h[i + offset, i]
+        flat[offset : values.size * dim : dim + 1] = values
+        flat[offset * dim :: dim + 1] = values  # h[i + offset, i]
     return h
 
 
 def parity_blocks(n_atoms: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Partition FullBasis indices into (even, odd) parity index arrays."""
-    basis = FullBasis(n_atoms=n_atoms, n_max=n_max)
-    par = basis.parities()
-    return np.where(par == 1)[0], np.where(par == -1)[0]
+    n, s = np.divmod(np.arange(FullBasis(n_atoms=n_atoms, n_max=n_max).dim), n_atoms + 1)
+    odd = (n + s) % 2 == 1
+    return np.nonzero(~odd)[0], np.nonzero(odd)[0]
+
+
+def parity_band(params: ModelParams, n_max: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(idx, ab)``: the ascending FullBasis indices of the parity block
+    (+1 even, -1 odd) and its LAPACK lower band storage, ``ab[d, k] =
+    H[idx[k + d], idx[k]]`` bit for bit.  Couplings join i to i + N or
+    i + N + 2, and a block holds at most (N + 3) // 2 of any N + 2
+    consecutive indices, so kd = (N + 3) // 2 sub-diagonals hold them all."""
+    if parity not in (1, -1):
+        raise ValueError(f"parity must be +1 or -1, got {parity}")
+    idx = parity_blocks(params.n_atoms, n_max)[(1 - parity) // 2]
+    pos = np.full((params.n_atoms + 1) * (n_max + 1), -1)  # block position of each index, or -1
+    pos[idx] = np.arange(idx.size)
+    inside = pos >= 0
+    ab = np.zeros(((params.n_atoms + 3) // 2 + 1, idx.size), order="F")
+    diagonals = _full_diagonals(params, n_max)
+    ab[0] = next(diagonals)[1][idx]  # offset 0, the first one yielded
+    for offset, values in diagonals:
+        i = np.nonzero(inside[: values.size] & inside[offset:])[0]  # i and i + offset in the block
+        ab[pos[i + offset] - pos[i], pos[i]] = values[i]
+    return idx, ab

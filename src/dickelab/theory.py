@@ -99,7 +99,8 @@ def saddle_point(params: ModelParams) -> SaddlePoint:
     """Condensate saddle point; flagged zero amplitudes in the normal phase."""
     gsum = params.g + params.g_prime
     gc = math.sqrt(params.omega_a * params.omega_b)
-    mu = math.inf if gsum == 0 else params.omega_a * params.omega_b / gsum**2
+    # the square, not gsum, is the divisor: it underflows to 0.0 for 0 < gsum < ~1e-162
+    mu = math.inf if gsum**2 == 0 else params.omega_a * params.omega_b / gsum**2
     if gsum <= gc:
         return SaddlePoint(
             mu=mu, lambda_a=0.0, lambda_b=0.0,

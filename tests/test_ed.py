@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -403,18 +404,25 @@ def test_auto_nmax_rejects_a_bad_parity():
 
 
 def _record_assemblies(monkeypatch):
+    """Record the n_max of every ``parity_band`` that ``auto_nmax`` writes;
+    a dense full H or a certified solve inside it fails the test."""
     sizes = []
-    real = ed.build_full_hamiltonian
+    real = ed.parity_band
 
-    def recording(params, n_max):
+    def recording(params, n_max, parity):
         sizes.append(n_max)
-        return real(params, n_max)
+        return real(params, n_max, parity)
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("auto_nmax must compare eigenvalues, not certified solves")
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"auto_nmax must not call {name}")
 
-    monkeypatch.setattr(ed, "build_full_hamiltonian", recording)
-    monkeypatch.setattr(ed, "solve_full", no_solve)
+        return refused
+
+    monkeypatch.setattr(ed, "parity_band", recording)
+    for module in (ed, model):
+        monkeypatch.setattr(module, "build_full_hamiltonian", refuse("build_full_hamiltonian"))
+    monkeypatch.setattr(ed, "solve_full", refuse("solve_full"))
     return sizes
 
 
@@ -428,9 +436,23 @@ def test_auto_nmax_assembles_once_per_doubling_step(monkeypatch):
 def test_auto_nmax_assembles_nothing_past_the_cap(monkeypatch):
     sizes = _record_assemblies(monkeypatch)
     monkeypatch.setattr(ed, "NMAX_CAP", 32)
-    with pytest.raises(RuntimeError, match="cap of 32"):
+    with pytest.raises(ed.TruncationError, match="cap of 32"):
         auto_nmax(ModelParams(g=5.0, g_prime=1.0, n_atoms=4), 1)
     assert max(sizes) == 32 + 10
+
+
+def test_auto_nmax_holds_no_dense_matrix():
+    # n_max 158: the last doubling step writes the band at 266, where the
+    # dense full H alone would take 7 * 267 rows squared, 28 MB
+    params = ModelParams(g=8.0, g_prime=0.4, n_atoms=6)
+    tracemalloc.start()
+    try:
+        n_max = auto_nmax(params, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_max == 158
+    assert peak < 2e6
 
 
 def _expand_band(ab, k):
@@ -449,45 +471,48 @@ _BAND_COUPLINGS = [
 ]
 
 
-@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("couplings", _BAND_COUPLINGS)
 def test_parity_band_expands_to_the_parity_block(n_atoms, couplings):
-    params = ModelParams(omega_a=1.1, omega_b=0.9, lambda_z=0.2, u=-0.1, n_atoms=n_atoms, **couplings)
-    n_big = 30
-    h = model.build_full_hamiltonian(params, n_big)
-    for idx in model.parity_blocks(n_atoms, n_big):
-        ab = ed._parity_band(h, idx, n_atoms)
-        assert np.array_equal(_expand_band(ab, idx.size), h[np.ix_(idx, idx)])
-        for n in (1, 7, 12, 29):
-            small = model.build_full_hamiltonian(params, n)
-            rows = idx[idx < small.shape[0]]
-            assert np.array_equal(_expand_band(ab, rows.size), small[np.ix_(rows, rows)])
+    for extra in ({}, {"lambda_z": 0.2, "u": -0.1}):
+        params = ModelParams(omega_a=1.1, omega_b=0.9, n_atoms=n_atoms, **couplings, **extra)
+        big = {parity: model.parity_band(params, 30, parity)[1] for parity in (1, -1)}
+        for n in (1, 7, 12, 30):
+            h = model.build_full_hamiltonian(params, n)
+            for parity, block in zip((1, -1), model.parity_blocks(n_atoms, n)):
+                idx, ab = model.parity_band(params, n, parity)
+                assert np.array_equal(idx, block)
+                assert ab.shape == ((n_atoms + 3) // 2 + 1, idx.size) and ab.flags.f_contiguous
+                # bit for bit: the expansion holds exactly the entries of the dense block,
+                # and storage past the end of each sub-diagonal stays zero
+                assert _expand_band(ab, idx.size).tobytes() == h[np.ix_(idx, idx)].tobytes()
+                assert not any(ab[d, idx.size - d :].any() for d in range(ab.shape[0]))
+                # a smaller truncation is the leading block of a larger one
+                assert np.array_equal(_expand_band(big[parity], idx.size), h[np.ix_(idx, idx)])
 
 
-@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("couplings", _BAND_COUPLINGS)
 def test_band_lowest_matches_dense_eigvalsh(n_atoms, couplings):
-    params = ModelParams(omega_a=1.1, omega_b=0.9, n_atoms=n_atoms, **couplings)
-    h = model.build_full_hamiltonian(params, 40)
-    for idx in model.parity_blocks(n_atoms, 40):
-        ab = ed._parity_band(h, idx, n_atoms)
-        for k in (1, 2, 3, 17, idx.size):
-            dense = np.linalg.eigvalsh(h[np.ix_(idx[:k], idx[:k])])
-            lowest = ed._band_lowest(ab, k)
-            assert lowest.size == min(3, k)
-            assert np.abs(lowest - dense[:3]).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+    for extra in ({}, {"lambda_z": 0.2, "u": -0.1}):
+        params = ModelParams(omega_a=1.1, omega_b=0.9, n_atoms=n_atoms, **couplings, **extra)
+        h = model.build_full_hamiltonian(params, 40)
+        for parity in (1, -1):
+            idx, ab = model.parity_band(params, 40, parity)
+            for k in (1, 2, 3, 17, idx.size):
+                dense = np.linalg.eigvalsh(h[np.ix_(idx[:k], idx[:k])])
+                lowest = ed._band_lowest(ab, k)
+                assert lowest.size == min(3, k)
+                assert np.abs(lowest - dense[:3]).max() <= 1e-12 * max(1.0, np.abs(dense).max())
 
 
-@pytest.mark.parametrize("n_atoms", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 5, 6])
 @pytest.mark.parametrize("couplings", _BAND_COUPLINGS)
 def test_band_lowest_ignores_storage_past_the_leading_columns(n_atoms, couplings):
     # auto_nmax compares a truncation in whichever doubling step it meets it
     params = ModelParams(omega_a=1.1, omega_b=0.9, lambda_z=0.2, u=-0.1, n_atoms=n_atoms, **couplings)
-    for parity in (0, 1):
-        storages = []
-        for n_big in (26, 42):
-            idx = model.parity_blocks(n_atoms, n_big)[parity]
-            storages.append((idx, ed._parity_band(model.build_full_hamiltonian(params, n_big), idx, n_atoms)))
+    for parity in (1, -1):
+        storages = [model.parity_band(params, n_big, parity) for n_big in (26, 42)]
         for n in (8, 13, 16, 26):
             found = []
             for idx, ab in storages:

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dickelab import ed, scan
 from dickelab.cli import main
+from dickelab.eigen import EigenError
 from dickelab.scan import (
     _COLUMNS,
     _ROW_QUANTITIES,
@@ -393,6 +395,37 @@ def test_cli_oracle_rejects_large_n(tmp_path, capsys):
         quantities=["higgs"],
     )
     assert main(["oracle", str(cfg)]) == 2
+
+
+def test_cli_scan_exits_2_past_the_fock_cutoff_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ed, "NMAX_CAP", 32)
+    cfg = _write_config(
+        tmp_path,
+        model={"omega_a": 1.0, "omega_b": 1.0, "n_atoms": 4},
+        grid=[5.0],
+        gprime_over_g=0.2,
+        quantities=["anomalous"],
+    )
+    assert main(["scan", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "cap of 32" in err
+
+
+def test_cli_scan_passes_a_certification_failure_through(tmp_path, monkeypatch):
+    # the cap's exit status 2 must not swallow it: uncaught, it exits 1 with its traceback
+    def failing(*args, **kwargs):
+        raise EigenError("residual 1e-3 exceeds tolerance")
+
+    monkeypatch.setattr(scan, "solve_ground", failing)
+    with pytest.raises(EigenError, match="residual 1e-3"):
+        main(["scan", str(_write_config(tmp_path))])
+
+
+def test_cli_scan_runs_a_grid_with_an_underflowing_coupling(tmp_path, capsys):
+    # (1e-200 g_c)^2 underflows to 0.0, which the saddle point must not divide by
+    assert main(["scan", str(_write_config(tmp_path, grid=[1e-200, 0.5]))]) == 0
+    rows = list(csv.DictReader((tmp_path / "out" / "goldstone.csv").read_text().splitlines()))
+    assert [(row["g_over_gc"], row["p_star"]) for row in rows] == [("1e-200", "0"), ("0.5", "0")]
 
 
 @pytest.mark.parametrize("value", ['"0.1"', "true", "NaN", "Infinity", "0", "-0.1", "null", "[0.1]"])

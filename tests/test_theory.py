@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickelab import theory
+from dickelab.ed import ground_state_scan, solve_ground
 from dickelab.model import ModelParams
 from dickelab.theory import (
     EffectiveTheory,
@@ -55,6 +56,17 @@ def test_saddle_point_zero_coupling():
     sp = saddle_point(ModelParams(omega_a=1, omega_b=1, g=0.0, n_atoms=2))
     assert not sp.superradiant
     assert math.isinf(sp.mu)
+
+
+@pytest.mark.parametrize("g, g_prime", [(1e-300, 0.0), (1e-170, 1e-170), (5e-324, 0.0)])
+def test_saddle_point_underflowing_coupling_is_the_normal_phase(g, g_prime):
+    # (g + g')^2 underflows to 0.0 although g + g' > 0
+    params = ModelParams(omega_a=1, omega_b=1, g=g, g_prime=g_prime, n_atoms=2)
+    sp = saddle_point(params)
+    assert not sp.superradiant and math.isinf(sp.mu) and sp.lambda_plus_sq == 0.0
+    if g_prime == 0:
+        assert solve_ground(params).point.p_star == 0
+        assert [pt.p_star for pt in ground_state_scan(params, [g, 0.5])] == [0, 0]
 
 
 def test_effective_theory_frozen_constants():
