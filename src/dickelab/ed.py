@@ -243,14 +243,15 @@ def _candidate_sectors(params: ModelParams, x: float) -> tuple[list[int], int]:
     per_call = max(1, _BAND_BLOCK // (N + 1))
     reaching = []
     for start in range(0, p_stop + 1, per_call):
-        chunk = np.arange(start, min(start + per_call, p_stop + 1))[:, np.newaxis]
+        stop = min(start + per_call, p_stop + 1)
+        chunk = np.arange(float(start), stop)[:, np.newaxis]  # sector labels P, as exact floats
         n = chunk - s
         diag = chunk * a + c
         diag[n < 0] = 2 * abs(y) + 1
         off = k * np.sqrt(np.maximum(n, 0.0))
         found, _, iblock, isplit, info = dstebz(diag.ravel(), off.ravel()[:-1], 1, -np.inf, y, 0, 0, np.inf, "B")
         if info != 0:
-            raise eigen.EigenError(f"Sturm count failed on sectors {chunk[0, 0]}..{chunk[-1, 0]} (info = {info})")
+            raise eigen.EigenError(f"Sturm count failed on sectors {start}..{stop - 1} (info = {info})")
         # isplit holds the last row of each block, 1-based
         rows = ((isplit[iblock[:found] - 1] - 1) // (N + 1)).tolist()
         reaching.extend(sorted({start + row for row in rows}))

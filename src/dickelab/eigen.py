@@ -15,11 +15,13 @@ segment -- a property the conserved-sector physics checks rely on.
 Every decomposition is certified: the maximum residual ||H v - lambda v||
 and the orthonormality defect ||V'V - I||_max are recomputed from the
 output against the whole matrix and must pass the requested tolerance,
-otherwise the call fails.  For a tridiagonal matrix the finiteness check,
-the scale and the residual come from its bands in O(n^2); otherwise from
-the dense matrix.
+otherwise the call fails.  The scale max|m_ij| and the finiteness check
+come from one reduction over the matrix, whatever its form; for a
+tridiagonal matrix the residual comes from its bands in O(n^2),
+otherwise from the dense product.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +72,7 @@ def _bands(m: np.ndarray):
     # strided views of the row-major entries: m[i, i], m[i + 1, i], m[i, i + 1]
     flat = m.ravel()
     d, e = flat[:: n + 1], flat[n :: n + 1]
-    if not (e == flat[1 :: n + 1]).all():
+    if np.count_nonzero(e != flat[1 :: n + 1]):
         return None
     if np.count_nonzero(m) != np.count_nonzero(d) + 2 * np.count_nonzero(e):
         return None
@@ -90,21 +92,16 @@ def _check_symmetric(m: np.ndarray):
     bands ``(d, e)`` if it is tridiagonal (else None)."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    bands = _bands(m)
-    if bands is not None:
-        d, e = bands
-        # NaN propagates through np.maximum and max, so one test covers both bands
-        scale = float(np.maximum(np.abs(d).max(), np.abs(e).max(initial=0.0)))
-        if not np.isfinite(scale):
-            raise ValueError("matrix has non-finite entries")
-        return scale, bands
-    if not np.all(np.isfinite(m)):
+    # NaN and inf propagate through max, so the scale is also the finiteness test
+    scale = float(np.abs(m).max(initial=0.0))
+    if not math.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    defect = float(np.abs(m - m.T).max()) if m.size else 0.0
-    if defect > SYMMETRY_RTOL * max(scale, 1.0):
-        raise ValueError(f"matrix is not symmetric: asymmetry {defect:.3e} at scale {scale:.3e}")
-    return scale, None
+    bands = _bands(m)
+    if bands is None:
+        defect = float(np.abs(m - m.T).max(initial=0.0))
+        if defect > SYMMETRY_RTOL * max(scale, 1.0):
+            raise ValueError(f"matrix is not symmetric: asymmetry {defect:.3e} at scale {scale:.3e}")
+    return scale, bands
 
 
 def _solve(m: np.ndarray, bands):
@@ -117,7 +114,7 @@ def _solve(m: np.ndarray, bands):
         except np.linalg.LinAlgError as exc:
             raise EigenError(f"eigh failed to converge on a {m.shape[0]}x{m.shape[0]} matrix: {exc}") from exc
     d, e = bands
-    if e.all():  # one segment, no bookkeeping
+    if np.count_nonzero(e) == e.size:  # one segment, no bookkeeping
         return _dstevd(d, e)
     # segments end after each exact-zero off-diagonal
     cuts = (np.flatnonzero(e == 0) + 1).tolist()
@@ -160,9 +157,10 @@ def eigh(m: np.ndarray, tol: float = 1e-8) -> EigenDecomposition:
     eigenvalues tied across segments keep the segment order.  Any other
     matrix goes to ``numpy.linalg.eigh``, which gives the same bits on
     tridiagonal input without a zero off-diagonal.  A tridiagonal ``m``
-    is also certified from its bands: finiteness and scale from the
-    diagonals, the residual from (d - lambda) v + e (shifted v).  The
-    orthonormality defect is V'V - I in either case.  The eigenvectors
+    is certified from its bands, the residual from (d - lambda) v + e
+    (shifted v); any other from m V - V diag(lambda).  The scale
+    max|m_ij| and the finiteness check are one reduction over ``m``, and
+    the orthonormality defect is V'V - I, in either case.  The eigenvectors
     are C-ordered on every path, as numpy returns them.
 
     Raises
@@ -198,10 +196,13 @@ def _residual_arrays(m, bands, vals, vecs) -> float:
         r = m @ vecs - vecs * vals[np.newaxis, :]
     else:
         d, e = bands
+        e = e[:, np.newaxis]
         r = (d[:, np.newaxis] - vals[np.newaxis, :]) * vecs
-        r[:-1] += e[:, np.newaxis] * vecs[1:]
-        r[1:] += e[:, np.newaxis] * vecs[:-1]
-    return float(np.sqrt((r * r).sum(axis=0)).max())
+        r[:-1] += e * vecs[1:]
+        r[1:] += e * vecs[:-1]
+    # sqrt is monotone and correctly rounded: the root of the largest sum
+    # is the largest root
+    return math.sqrt((r * r).sum(axis=0).max())
 
 
 def _ortho_defect_array(vecs) -> float:

@@ -166,14 +166,17 @@ def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     A lambda_z or u term whose coupling is zero (either sign) is not
     evaluated.  That is exact: the term would be +-0.0, and adding +-0.0
     leaves every partial sum unchanged because none is -0.0 (omega_a n
-    >= +0.0 with n >= 0, and omega_b m is +0.0 at m = 0).
+    >= +0.0 with n >= 0, and omega_b m is +0.0 at m = 0).  The labels s
+    and n are float64 from the start, so no ufunc casts them; they are
+    exact integers (below 2**53), as is (s + 1)(N - s), so the bits are
+    those of integer labels.
     """
     _require_count("p", p, 0)
     if params.g_prime != 0:
         raise ValueError("excitation sectors exist only for g_prime = 0")
     N = params.n_atoms
     j = params.j
-    s = np.arange(min(p, N) + 1)
+    s = np.arange(min(p, N) + 1.0)
     m = s - N / 2
     n = p - s
     diag = params.omega_a * n + params.omega_b * m
@@ -189,9 +192,10 @@ def build_sector_hamiltonian(params: ModelParams, p: int) -> np.ndarray:
     """Dense symmetric form of ``sector_bands(params, p)``."""
     diag, off = sector_bands(params, p)
     h = np.zeros((diag.size, diag.size))
+    flat = h.ravel()
     # strided views of the row-major entries: h[i, i], h[i, i + 1], h[i + 1, i]
     for start, band in ((0, diag), (1, off), (diag.size, off)):
-        h.ravel()[start :: diag.size + 1] = band
+        flat[start :: diag.size + 1] = band
     return h
 
 

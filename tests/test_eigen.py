@@ -284,3 +284,87 @@ def test_random_segmented_tridiagonal(dstevd_calls, sizes, seed, ties):
     assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(m), atol=1e-12)
     assert residual(m, dec) == dec.max_residual <= 1e-12 * max(1.0, np.abs(m).max())
     assert dec.ortho_defect <= 1e-13
+
+
+# The one-pass checks and certificate against their multi-pass form.
+
+
+def _reference_band_certificate(m):
+    """The band checks and certificate of a tridiagonal ``m`` in their
+    multi-pass form: ``.all()`` tests for symmetry and for one segment, the
+    scale from the two bands, and the square root of every column's sum
+    before the max.  Returns (scale, d, e, one_segment, max_residual,
+    ortho_defect, eigh(m)), the certificate of ``eigh(m)``'s eigenpairs."""
+    n = m.shape[0]
+    flat = m.ravel()
+    d, e = flat[:: n + 1], flat[n :: n + 1]
+    assert (e == flat[1 :: n + 1]).all()
+    assert np.count_nonzero(m) == np.count_nonzero(d) + 2 * np.count_nonzero(e)
+    scale = float(np.maximum(np.abs(d).max(), np.abs(e).max(initial=0.0)))
+    dec = eigh(m)
+    vals, vecs = dec.eigenvalues, dec.eigenvectors
+    r = (d[:, np.newaxis] - vals[np.newaxis, :]) * vecs
+    r[:-1] += e[:, np.newaxis] * vecs[1:]
+    r[1:] += e[:, np.newaxis] * vecs[:-1]
+    max_residual = float(np.sqrt((r * r).sum(axis=0)).max())
+    gram = vecs.T @ vecs
+    gram.ravel()[:: n + 1] -= 1.0
+    return scale, d, e, bool(e.all()), max_residual, float(np.abs(gram).max()), dec
+
+
+def _random_tridiagonals(count, seed):
+    """Tridiagonal matrices of 1..9 rows with split segments, exact ties
+    across segments, magnitudes from 1e-3 to 1e3 and +-0.0 entries, some
+    of them on one side of the off-diagonal only."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        size = int(rng.integers(1, 10))
+        d = rng.standard_normal(size) * 10.0 ** int(rng.integers(-3, 4))
+        e = rng.standard_normal(size - 1) * 10.0 ** int(rng.integers(-3, 4))
+        if k % 3 == 0:  # split segments
+            e[rng.random(size - 1) < 0.4] = 0.0
+        if k % 4 == 1 and size >= 4:  # two equal segments: eigenvalues tie exactly
+            half = size // 2
+            d[half : 2 * half], e[half : 2 * half - 1] = d[:half], e[: half - 1]
+            e[half - 1] = 0.0
+        if k % 5 == 2:
+            d[rng.random(size) < 0.4] = -0.0
+            e[rng.random(size - 1) < 0.4] = -0.0
+        m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        if k % 5 == 2 and size >= 2 and m[1, 0] == 0:
+            m[0, 1] = -0.0  # a signed zero on one side of the off-diagonal only
+        yield m
+
+
+def test_band_certificate_equals_its_multi_pass_form():
+    cases = segmented = one_row = tied = signed_zero = 0
+    for m in _random_tridiagonals(600, seed=11):
+        scale, d, e, one_segment, max_residual, ortho_defect, dec = _reference_band_certificate(m)
+        got_scale, bands = eigen._check_symmetric(m)
+        assert got_scale.hex() == scale.hex()
+        assert bands is not None and np.array_equal(bands[0], d) and np.array_equal(bands[1], e)
+        assert (np.count_nonzero(bands[1]) == bands[1].size) == one_segment
+        assert dec.max_residual.hex() == max_residual.hex()
+        assert dec.ortho_defect.hex() == ortho_defect.hex()
+        assert residual(m, dec).hex() == max_residual.hex()
+        cases += 1
+        segmented += not one_segment
+        one_row += m.shape[0] == 1
+        tied += np.count_nonzero(np.diff(dec.eigenvalues) == 0) > 0
+        signed_zero += np.signbit(m[m == 0]).any()
+    assert cases == 600 and min(segmented, one_row, tied, signed_zero) >= 30
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "lower only", "off the band"])
+@pytest.mark.parametrize("form", ["banded", "dense"])
+def test_non_finite_entries_raise_for_banded_and_dense_input(value, where, form):
+    h = build_sector_hamiltonian(ModelParams(n_atoms=4, g=1.5), 6)
+    if form == "dense":
+        h = h + 0.01 * np.add.outer(np.arange(5.0), np.arange(5.0))
+    assert (eigen._bands(h) is not None) == (form == "banded")
+    for i, j in {"diagonal": [(2, 2)], "off-diagonal": [(2, 1), (1, 2)], "lower only": [(3, 2)],
+                 "off the band": [(3, 0), (0, 3)]}[where]:
+        h[i, j] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        eigh(h)

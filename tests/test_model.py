@@ -116,34 +116,39 @@ def test_sector_hamiltonian_rejects_counter_rotating():
         build_sector_hamiltonian(ModelParams(n_atoms=2), -1)
 
 
-def _reference_sector_diag(params, p):
-    """The sector diagonal with all four terms evaluated, zero couplings too."""
+def _reference_sector_bands(params, p):
+    """The sector bands from int64 labels s and n, with all four diagonal
+    terms evaluated, zero couplings too."""
     N = params.n_atoms
     s = np.arange(min(p, N) + 1)
     m = s - N / 2
     n = p - s
-    return (
+    diag = (
         params.omega_a * n
         + params.omega_b * m
         + params.lambda_z * m * n / params.j
         + params.u * m**2 / params.j
     )
+    off = (params.g / np.sqrt(N)) * np.sqrt((s[:-1] + 1) * (N - s[:-1])) * np.sqrt(n[:-1])
+    return diag, off
 
 
 @pytest.mark.parametrize("lambda_z", [0.0, -0.0, 0.3])
 @pytest.mark.parametrize("u", [0.0, -0.0, -0.2])
 def test_sector_bands_equal_the_four_term_diagonal(lambda_z, u):
     # sector_bands skips a lambda_z or u term whose coupling is zero; the
-    # skipped term is +-0.0 and no partial sum is -0.0, so the bits agree
+    # skipped term is +-0.0 and no partial sum is -0.0, so the bits agree.
+    # Its float64 labels are exact integers, so both bands keep the bits
+    # of int64 labels, signed zeros (g = -0.0) included.
     for omega_a, omega_b in ((1.0, 1.0), (1.4, 0.7), (1, 2)):
-        for n_atoms in range(1, 9):
-            params = ModelParams(omega_a=omega_a, omega_b=omega_b, g=0.7, lambda_z=lambda_z, u=u, n_atoms=n_atoms)
-            for p in range(3 * n_atoms + 3):
-                diag, off = sector_bands(params, p)
-                expected = _reference_sector_diag(params, p)
-                assert np.array_equal(diag, expected)
-                assert np.array_equal(np.signbit(diag), np.signbit(expected))
-                assert diag.dtype == expected.dtype and off.shape == (diag.size - 1,)
+        for g in (0.7, -0.0):
+            for n_atoms in range(1, 9):
+                params = ModelParams(omega_a=omega_a, omega_b=omega_b, g=g, lambda_z=lambda_z, u=u, n_atoms=n_atoms)
+                for p in range(3 * n_atoms + 3):
+                    for got, expected in zip(sector_bands(params, p), _reference_sector_bands(params, p)):
+                        assert np.array_equal(got, expected)
+                        assert np.array_equal(np.signbit(got), np.signbit(expected))
+                        assert got.dtype == expected.dtype and got.shape == expected.shape
 
 
 def test_sector_bands_reject_a_bad_sector_label():
