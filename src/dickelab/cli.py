@@ -18,18 +18,11 @@ ORACLE_NMAX = 6
 
 
 def _cmd_scan(args) -> int:
-    try:
-        config = parse_config(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    config = parse_config(args.config)
     try:
         written = run_scan(config)
     except OSError as exc:
         print(f"cannot write scan output: {exc}", file=sys.stderr)
-        return 2
-    except TruncationError as exc:
-        print(exc, file=sys.stderr)
         return 2
     for path in written:
         print(path)
@@ -64,11 +57,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        config = parse_config(args.config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    config = parse_config(args.config)
     worst = 0.0
     for ratio in config.g_over_gc:
         try:
@@ -104,7 +93,11 @@ def main(argv=None) -> int:
     p_orc.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, TruncationError) as exc:  # compare reports its own ConfigError
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

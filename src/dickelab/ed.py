@@ -50,13 +50,11 @@ __all__ = [
     "ground_state_scan",
     "solve_full",
     "auto_nmax",
-    "DEFAULT_EIGEN_TOL",
     "DEFAULT_TRUNCATION_TOL",
     "NMAX_CAP",
     "TruncationError",
 ]
 
-DEFAULT_EIGEN_TOL = 1e-8
 DEFAULT_TRUNCATION_TOL = 1e-8
 NMAX_CAP = 4096
 # auto_nmax: the first Fock truncation it tries, and its convergence step.
@@ -138,9 +136,9 @@ class GroundSolve:
     spectrum_next: SectorSpectrum
 
 
-def solve_sector(params: ModelParams, p: int, tol: float = DEFAULT_EIGEN_TOL) -> SectorSpectrum:
+def solve_sector(params: ModelParams, p: int) -> SectorSpectrum:
     """Certified spectrum of the excitation sector P (g' = 0)."""
-    dec = eigen.eigh(build_sector_hamiltonian(params, p), tol=tol)
+    dec = eigen.eigh(build_sector_hamiltonian(params, p))
     return SectorSpectrum(
         basis=SectorBasis(p=p, n_atoms=params.n_atoms),
         energies=dec.eigenvalues,
@@ -258,7 +256,7 @@ def _candidate_sectors(params: ModelParams, x: float) -> tuple[list[int], int]:
     return reaching, p_stop
 
 
-def solve_ground(params: ModelParams, tol: float = DEFAULT_EIGEN_TOL) -> GroundSolve:
+def solve_ground(params: ModelParams) -> GroundSolve:
     """Locate the ground sector P* and solve it and its neighbor.
 
     P* is the sector with the lowest ground energy (ties within 1e-12 go
@@ -280,7 +278,8 @@ def solve_ground(params: ModelParams, tol: float = DEFAULT_EIGEN_TOL) -> GroundS
         holds the ground state.
     EigenError
         If a certified ground energy of P* or P*+1 differs from its
-        bisection value by more than tol * max(1, max |E|) of the sector.
+        bisection value by more than ``eigen.RESIDUAL_TOL`` * max(1, max |E|)
+        of the sector.
     """
     guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
     e0: dict[int, float] = {}
@@ -290,11 +289,11 @@ def solve_ground(params: ModelParams, tol: float = DEFAULT_EIGEN_TOL) -> GroundS
     e_min = min(e0.values())
     p_star = min(p for p, e in e0.items() if e <= e_min + _TIE_WINDOW)
     _bisect_lowest(params, [p_star + 1], e0)
-    spec = solve_sector(params, p_star, tol=tol)
-    spec_next = solve_sector(params, p_star + 1, tol=tol)
+    spec = solve_sector(params, p_star)
+    spec_next = solve_sector(params, p_star + 1)
     for s in (spec, spec_next):
         # energies ascend, so max |E| is at one end
-        if abs(s.energies[0] - e0[s.p]) > tol * max(1.0, abs(s.energies[0]), abs(s.energies[-1])):
+        if abs(s.energies[0] - e0[s.p]) > eigen.RESIDUAL_TOL * max(1.0, abs(s.energies[0]), abs(s.energies[-1])):
             raise eigen.EigenError(
                 f"sector P = {s.p}: certified ground energy {s.energies[0]!r} "
                 f"differs from bisection {e0[s.p]!r}"
@@ -310,25 +309,20 @@ def solve_ground(params: ModelParams, tol: float = DEFAULT_EIGEN_TOL) -> GroundS
     return GroundSolve(point=point, spectrum=spec, spectrum_next=spec_next)
 
 
-def ground_state_scan(
-    params_template: ModelParams, g_values, tol: float = DEFAULT_EIGEN_TOL
-) -> list[GroundScanPoint]:
-    """Staircase scan over an ascending list of couplings.
+def ground_state_scan(params_template: ModelParams, g_values) -> list[GroundScanPoint]:
+    """Staircase scan over a list of couplings, in any order.
 
-    Results are in input order; each point is independent of the others.
-    Raises ValueError as ``solve_ground`` does.
+    Each point is solved on its own and results are in input order.
+    Raises ValueError for an empty or not 1-d ``g_values``, and as
+    ``solve_ground`` does.
     """
     g_values = np.asarray(g_values, dtype=float)
     if g_values.ndim != 1 or g_values.size == 0:
         raise ValueError("g_values must be a non-empty 1-d sequence")
-    if np.any(np.diff(g_values) < 0):
-        raise ValueError("g_values must be ascending")
-    return [solve_ground(replace(params_template, g=float(g)), tol=tol).point for g in g_values]
+    return [solve_ground(replace(params_template, g=float(g))).point for g in g_values]
 
 
-def solve_full(
-    params: ModelParams, n_max: int, parity: int, tol: float = DEFAULT_EIGEN_TOL
-) -> FullSpectrum:
+def solve_full(params: ModelParams, n_max: int, parity: int) -> FullSpectrum:
     """Certified spectrum of one parity block of the truncated model.
 
     The rows are solved chain by chain (``_parity_layout`` order), which
@@ -337,7 +331,7 @@ def solve_full(
     """
     idx, chains = _parity_layout(params, n_max, parity)
     rows = idx[np.concatenate(chains)]
-    dec = eigen.eigh(build_full_hamiltonian(params, n_max)[np.ix_(rows, rows)], tol=tol)
+    dec = eigen.eigh(build_full_hamiltonian(params, n_max)[np.ix_(rows, rows)])
     return FullSpectrum(
         parity=parity,
         basis=FullBasis(n_atoms=params.n_atoms, n_max=n_max),

@@ -14,11 +14,12 @@ segment -- a property the conserved-sector physics checks rely on.
 
 Every decomposition is certified: the maximum residual ||H v - lambda v||
 and the orthonormality defect ||V'V - I||_max are recomputed from the
-output against the whole matrix and must pass the requested tolerance,
-otherwise the call fails.  The scale max|m_ij| and the finiteness check
-come from one reduction over the matrix, whatever its form; for a
-tridiagonal matrix the residual comes from its bands in O(n^2),
-otherwise from the dense product.
+output against the whole matrix and must stay below the fixed bounds
+``RESIDUAL_TOL`` (times the scale) and ``ORTHO_TOL``, otherwise the call
+fails.  The scale max|m_ij| and the finiteness check come from one
+reduction over the matrix, whatever its form; for a tridiagonal matrix
+the residual comes from its bands in O(n^2), otherwise from the dense
+product.
 """
 
 import math
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12
+RESIDUAL_TOL = 1e-8  # in units of max|m_ij|
 ORTHO_TOL = 1e-10
 
 
@@ -138,7 +140,7 @@ def _dstevd(d, e):
     return vals, np.ascontiguousarray(vecs)
 
 
-def eigh(m: np.ndarray, tol: float = 1e-8) -> EigenDecomposition:
+def eigh(m: np.ndarray) -> EigenDecomposition:
     """Full certified eigendecomposition of a real symmetric matrix.
 
     Parameters
@@ -146,8 +148,6 @@ def eigh(m: np.ndarray, tol: float = 1e-8) -> EigenDecomposition:
     m : array_like
         Real symmetric matrix (asymmetry must stay below 1e-12 relative
         to the largest entry).
-    tol : float
-        Residual tolerance in units of the largest |entry|.
 
     A matrix that is exactly symmetric tridiagonal (nonzeros only on the
     three central diagonals, sub-diagonal equal to super-diagonal; an
@@ -168,18 +168,17 @@ def eigh(m: np.ndarray, tol: float = 1e-8) -> EigenDecomposition:
     ValueError
         Complex, non-square, non-finite or non-symmetric input.
     EigenError
-        LAPACK failed to converge, or the recomputed residual or the
-        orthonormality defect exceeds its bound.
+        LAPACK failed to converge, or the recomputed residual exceeds
+        ``RESIDUAL_TOL`` * max|m_ij| or the orthonormality defect exceeds
+        ``ORTHO_TOL``.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     m = _real(m)
     scale, bands = _check_symmetric(m)
     vals, vecs = _solve(m, bands)
     max_res = _residual_arrays(m, bands, vals, vecs)
     defect = _ortho_defect_array(vecs)
-    if max_res > tol * max(scale, 1e-300):
-        raise EigenError(f"residual {max_res:.3e} exceeds tol {tol:.1e} * scale {scale:.3e}")
+    if max_res > RESIDUAL_TOL * max(scale, 1e-300):
+        raise EigenError(f"residual {max_res:.3e} exceeds {RESIDUAL_TOL:.1e} * scale {scale:.3e}")
     if defect > ORTHO_TOL:
         raise EigenError(f"orthonormality defect {defect:.3e} exceeds {ORTHO_TOL:.1e}")
     return EigenDecomposition(

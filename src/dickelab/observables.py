@@ -184,10 +184,10 @@ def anomalous_weight(full_even: FullSpectrum, full_odd: FullSpectrum) -> float:
 
 
 def evaluate_time_correlation(cs: CorrelationSpectrum, tau_values) -> list[float]:
-    """Imaginary-time decay sum_lines w exp(-E tau) for each tau >= 0."""
+    """Imaginary-time decay sum_lines w exp(-E tau) for each tau >= 0 of a 1-d sequence."""
     taus = np.asarray(tau_values, dtype=float)
-    if not np.all(taus >= 0):  # NaN fails too
-        raise ValueError("tau values must be >= 0")
+    if taus.ndim != 1 or not np.all(taus >= 0):  # NaN fails too
+        raise ValueError("tau values must be a 1-d sequence of numbers >= 0")
     energies = np.array([line.energy for line in cs.lines])
     weights = np.array([line.weight for line in cs.lines])
     return [float(np.sum(weights * np.exp(-energies * t))) for t in taus]

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ed import DEFAULT_EIGEN_TOL, DEFAULT_TRUNCATION_TOL, auto_nmax, solve_full, solve_ground
+from .ed import DEFAULT_TRUNCATION_TOL, auto_nmax, solve_full, solve_ground
+from .eigen import RESIDUAL_TOL
 from .model import ModelParams
 from .observables import anomalous_weight, mandel_q, number_correlation, photon_correlation
 from .theory import critical_coupling, effective_theory, predictions, saddle_point
@@ -90,15 +91,18 @@ class ScanConfig:
     output_dir: Path
     formats: tuple[str, ...] = ("csv",)
     gprime_over_g: float | None = None
-    eigen_tol: float = DEFAULT_EIGEN_TOL
     truncation_tol: float = DEFAULT_TRUNCATION_TOL
 
     def params_at(self, ratio: float) -> ModelParams:
         """Model parameters at the grid point g/g_c = ratio; g' is
         ``gprime_over_g * g`` when that is set, else the template's."""
-        g = ratio * critical_coupling(self.model)
-        g_prime = self.model.g_prime if self.gprime_over_g is None else self.gprime_over_g * g
-        return replace(self.model, g=g, g_prime=g_prime)
+        return _params_at(self.model, self.gprime_over_g, ratio)
+
+
+def _params_at(model: ModelParams, gprime_over_g: float | None, ratio: float) -> ModelParams:
+    g = ratio * critical_coupling(model)
+    g_prime = model.g_prime if gprime_over_g is None else gprime_over_g * g
+    return replace(model, g=g, g_prime=g_prime)
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,8 @@ def _choices(errors: list[str], value, key: str, valid: tuple[str, ...]) -> tupl
 def parse_config(source) -> ScanConfig:
     """Build a ScanConfig from a JSON file path or an already-loaded dict.
 
-    The schema-1 key ``workers`` is accepted and ignored.
+    The schema-1 key ``workers`` is accepted and ignored; ``tolerances.eigen``
+    is an error, as the residual bound is fixed (``eigen.RESIDUAL_TOL``).
 
     Raises
     ------
@@ -197,7 +202,7 @@ def parse_config(source) -> ScanConfig:
     if raw.get("schema_version") != SCHEMA_VERSION:
         errors.append(f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}")
 
-    model = None
+    model = gc = None
     model_raw = raw.get("model")
     if not isinstance(model_raw, dict):
         errors.append("'model' must be an object with the physical parameters")
@@ -206,7 +211,7 @@ def parse_config(source) -> ScanConfig:
             errors.append("'model.g' is not allowed; the coupling comes from the grid")
         try:
             model = ModelParams(**{k: v for k, v in model_raw.items() if k != "g"})
-            critical_coupling(model)  # the grid is in units of g_c
+            gc = critical_coupling(model)  # the grid is in units of g_c
             if model.omega_a <= abs(model.lambda_z):
                 raise ValueError("H is unbounded below for omega_a <= |lambda_z|")
         except (TypeError, ValueError) as exc:
@@ -242,16 +247,25 @@ def parse_config(source) -> ScanConfig:
         gprime_over_g = _number(errors, gprime_over_g, 0, "gprime_over_g must be a finite number >= 0",
                                 inclusive=True)
 
-    tols = {"eigen": DEFAULT_EIGEN_TOL, "truncation": DEFAULT_TRUNCATION_TOL}
+    truncation_tol = DEFAULT_TRUNCATION_TOL
     tols_raw = raw.get("tolerances", {})
     if not isinstance(tols_raw, dict):
         errors.append("'tolerances' must be an object")
     else:
-        for key in sorted(set(tols_raw) - set(tols)):
-            errors.append(f"unknown tolerance '{key}'")
-        for key in tols:
-            if key in tols_raw:
-                tols[key] = _number(errors, tols_raw[key], 0, f"tolerance '{key}' must be a positive finite number")
+        for key in sorted(set(tols_raw) - {"truncation"}):
+            errors.append(f"tolerance 'eigen' is fixed at {RESIDUAL_TOL!r}, got {tols_raw[key]!r}"
+                          if key == "eigen" else f"unknown tolerance '{key}'")
+        if "truncation" in tols_raw:
+            truncation_tol = _number(errors, tols_raw["truncation"], 0, "tolerance 'truncation' must be a positive finite number")
+
+    # sector labels up to the occupation lambda_+^2 must be exact floats; invalid grid values are None
+    for ratio in filter(None, grid) if gc is not None else ():
+        try:
+            occupation = saddle_point(_params_at(model, gprime_over_g, ratio)).lambda_plus_sq
+        except (OverflowError, ValueError):  # ValueError: g or g' is inf
+            occupation = math.inf
+        if not occupation < 2.0**53:
+            errors.append(f"grid g/g_c value {ratio!r} puts the occupation lambda_+^2 at or above 2**53")
 
     if model is not None and quantities:
         sector_based = set(quantities) - {"anomalous"}
@@ -271,8 +285,7 @@ def parse_config(source) -> ScanConfig:
         output_dir=Path(raw["output_dir"]),
         formats=formats,
         gprime_over_g=gprime_over_g,
-        eigen_tol=tols["eigen"],
-        truncation_tol=tols["truncation"],
+        truncation_tol=truncation_tol,
     )
 
 
@@ -301,7 +314,7 @@ def _weight_rows(pt: _Point) -> list[tuple]:
 
 def _anomalous_rows(pt: _Point) -> list[tuple]:
     n_max = max(auto_nmax(pt.params, parity, tol=pt.config.truncation_tol) for parity in (1, -1))
-    blocks = [solve_full(pt.params, n_max, parity, tol=pt.config.eigen_tol) for parity in (1, -1)]
+    blocks = [solve_full(pt.params, n_max, parity) for parity in (1, -1)]
     return [("anomalous", anomalous_weight(*blocks), None, None)]
 
 
@@ -331,7 +344,7 @@ def _point_rows(config: ScanConfig, ratio: float) -> dict[str, list[ComparisonRo
     params = config.params_at(ratio)
     superradiant = saddle_point(params).superradiant
     needs_sectors = bool(set(config.quantities) - {"anomalous"})
-    gs = solve_ground(params, tol=config.eigen_tol) if needs_sectors else None
+    gs = solve_ground(params) if needs_sectors else None
     pt = _Point(
         config, params, gs,
         effective_theory(params) if superradiant else None,
@@ -426,7 +439,7 @@ def run_scan(config: ScanConfig) -> list[Path]:
         "gprime_over_g": config.gprime_over_g,
         "quantities": list(config.quantities),
         "formats": list(config.formats),
-        "tolerances": {"eigen": config.eigen_tol, "truncation": config.truncation_tol},
+        "tolerances": {"eigen": RESIDUAL_TOL, "truncation": config.truncation_tol},
         "files": sorted(p.name for p in written),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }

@@ -212,6 +212,22 @@ def test_criterion_06_optical_relation():
     ])
 
 
+def test_optical_deviation_is_the_sector_higgs_gap_difference():
+    # README "Known deviations", criterion 6: inside ED the optical relation
+    # misses exactly E_H(P*+1) - E_H(P*), and N times that, over E_o, stays
+    # in a fixed band as N grows: a 1/N term that does not shrink away.
+    for n_atoms in (12, 24, 48, 100):
+        for ratio in GRID_N3:
+            gs = dl.solve_ground(replace(RES_N3, g=float(ratio), n_atoms=n_atoms))
+            pt = gs.point
+            if pt.p_star < 3:  # near-QCP masked, as in criterion 6
+                continue
+            higgs_next = gs.spectrum_next.energies[1] - gs.spectrum_next.energies[0]
+            deviation = pt.e_optical - pt.e_higgs - pt.e_goldstone
+            assert abs(deviation - (higgs_next - pt.e_higgs)) <= 1e-12 * pt.e_optical, (n_atoms, ratio)
+            assert 0.15 <= n_atoms * deviation / pt.e_optical <= 0.40, (n_atoms, ratio)
+
+
 def test_criterion_07_weights_and_mandel():
     def max_dev(n_atoms, key, ref):
         return max(abs(r[key] - ref(r)) / abs(ref(r)) for r in _grid_rows(n_atoms))

@@ -135,10 +135,24 @@ def test_ground_scan_reproduces_the_recorded_n5_staircase():
 
 def test_ground_scan_rejects_bad_grids():
     params = ModelParams(omega_a=1, omega_b=1, g=1.0, n_atoms=2)
-    with pytest.raises(ValueError):
-        ground_state_scan(params, [])
-    with pytest.raises(ValueError):
-        ground_state_scan(params, [2.0, 1.0])
+    for bad in ([], [[1.0, 2.0]], [[1.0], [2.0]]):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            ground_state_scan(params, bad)
+
+
+def test_ground_scan_takes_couplings_in_any_order():
+    # each point is solved on its own, so a reversed grid gives the reversed points
+    template = ModelParams(n_atoms=5)
+    g = (np.linspace(0.5, 3.0, 26) * critical_coupling(template)).tolist()
+
+    def hexed(points):
+        return [
+            (pt.p_star, *(None if v is None else float(v).hex()
+                          for v in (pt.g, pt.ground_energy, pt.e_goldstone, pt.e_higgs, pt.e_optical)))
+            for pt in points
+        ]
+
+    assert hexed(ground_state_scan(template, g[::-1])) == hexed(ground_state_scan(template, g))[::-1]
 
 
 def test_sector_energies_shift_with_constant_diagonal_term():

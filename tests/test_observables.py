@@ -277,6 +277,18 @@ def test_evaluate_time_correlation():
             evaluate_time_correlation(cs, [bad])
 
 
+@pytest.mark.parametrize("taus", [0.5, [[0.5]], [[0.0, 1.0]]], ids=["scalar", "nested", "row"])
+def test_evaluate_time_correlation_needs_a_1d_sequence(taus):
+    cs = CorrelationSpectrum(
+        kind="photon",
+        lines=(SpectralLine(energy=1.0, weight=2.0, role="goldstone"),),
+        p_from=0, p_to=1,
+    )
+    with pytest.raises(ValueError, match="1-d"):
+        evaluate_time_correlation(cs, taus)
+    assert evaluate_time_correlation(cs, []) == []
+
+
 def test_time_correlation_long_time_dominated_by_lowest_line():
     gs = solve_ground(N3_G2)
     cs = photon_correlation(gs.spectrum, gs.spectrum_next)

@@ -158,6 +158,53 @@ def test_parse_config_accepts_and_ignores_workers(tmp_path):
     assert config == parse_config(_config_dict(tmp_path))
 
 
+def test_eigen_tolerance_is_fixed(tmp_path, capsys):
+    # the residual bound is eigen.RESIDUAL_TOL; even its own value cannot be set
+    for value in (1e-8, 1):
+        overrides = {"tolerances": {"eigen": value}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(_config_dict(tmp_path, **overrides))
+        assert err.value.errors == [f"tolerance 'eigen' is fixed at 1e-08, got {value!r}"]
+        assert main(["scan", str(_write_config(tmp_path, **overrides))]) == 2
+        assert not (tmp_path / "out").exists()
+    assert "Traceback" not in capsys.readouterr().err
+    config = parse_config(_config_dict(tmp_path, tolerances={"truncation": 1e-6}))
+    assert config.truncation_tol == 1e-6 and not hasattr(config, "eigen_tol")
+
+
+@pytest.mark.parametrize(
+    "grid, extra",
+    [
+        pytest.param([1e200], {"quantities": ["goldstone"]}, id="saddle-point-overflow"),
+        pytest.param([1e100], {"quantities": ["anomalous"]}, id="effective-theory-overflow"),
+        pytest.param([1e100], {"quantities": ["goldstone"]}, id="bisection-past-exact-labels"),
+        pytest.param([2.0, 1e9], {"quantities": ["goldstone"]}, id="occupation-past-2**53"),
+        pytest.param([1e300], {"quantities": ["anomalous"], "gprime_over_g": 1e10}, id="infinite-g-prime"),
+    ],
+)
+def test_grid_values_past_exact_sector_labels_are_config_errors(tmp_path, capsys, grid, extra):
+    # at N = 2 on resonance the occupation lambda_+^2 is about (g/g_c)^2 / 2;
+    # from 2**53 on, sector labels are no longer exact floats
+    overrides = {"model": {"omega_a": 1.0, "omega_b": 1.0, "n_atoms": 2}, "grid": grid, **extra}
+    with pytest.raises(ConfigError) as err:
+        parse_config(_config_dict(tmp_path, **overrides))
+    assert err.value.errors == [f"grid g/g_c value {grid[-1]!r} puts the occupation lambda_+^2 at or above 2**53"]
+    assert main(["scan", str(_write_config(tmp_path, **overrides))]) == 2
+    assert capsys.readouterr().err.splitlines() == ["invalid config:", f"  - {err.value.errors[0]}"]
+
+
+def test_grid_values_below_the_occupation_limit_are_accepted(tmp_path):
+    model = {"omega_a": 1.0, "omega_b": 1.0, "n_atoms": 2}
+    assert parse_config(_config_dict(tmp_path, model=model, grid=[1e6])).g_over_gc == (1e6,)
+    with pytest.raises(ConfigError, match=r"2\*\*53"):
+        parse_config(_config_dict(tmp_path, model=model, grid=[1.35e8]))
+    # the counter-rotating coupling adds to g: g' = 0.5 g divides the limit on g/g_c by 1.5
+    crw = _config_dict(tmp_path, model=model, grid=[1e8], quantities=["anomalous"])
+    assert parse_config(crw).g_over_gc == (1e8,)
+    with pytest.raises(ConfigError, match=r"2\*\*53"):
+        parse_config({**crw, "gprime_over_g": 0.5})
+
+
 def test_run_scan_reproduces_the_demo_sweep_files(tmp_path):
     # the config of demos/07_sweep_pipeline.py, which wrote demo_output/sweep_n3
     config = parse_config({
