@@ -32,6 +32,7 @@ from .model import (
     FullBasis,
     ModelParams,
     SectorBasis,
+    _sector_labels,
     build_full_hamiltonian,
     build_sector_hamiltonian,
     parity_band,
@@ -75,13 +76,14 @@ class TruncationError(RuntimeError):
     """No Fock cutoff up to ``NMAX_CAP`` converged."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorSpectrum:
     """Full spectrum of one excitation sector.
 
     ``amplitudes[s, l]`` is the coefficient of basis state s in the l-th
     eigenstate (energies ascending), normalized per column.
     ``max_residual`` and ``ortho_defect`` certify the decomposition.
+    ``==`` and ``hash`` go by identity: arrays have no single truth value.
     """
 
     basis: SectorBasis
@@ -95,12 +97,13 @@ class SectorSpectrum:
         return self.basis.p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullSpectrum:
     """Spectrum of one parity block of the truncated full basis.
 
     ``indices`` are the FullBasis flat indices spanned by this block, in
     ascending order; ``amplitudes[i, l]`` refers to ``indices[i]``.
+    ``==`` and ``hash`` go by identity: arrays have no single truth value.
     """
 
     parity: int
@@ -127,9 +130,12 @@ class GroundScanPoint:
     e_optical: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundSolve:
-    """A scan point together with the spectra of sectors P* and P*+1."""
+    """A scan point together with the spectra of sectors P* and P*+1.
+
+    Like the spectra, ``==`` and ``hash`` go by identity.
+    """
 
     point: GroundScanPoint
     spectrum: SectorSpectrum
@@ -205,21 +211,23 @@ def _candidate_sectors(params: ModelParams, x: float) -> tuple[list[int], int]:
     A zero lambda_z or u term is not evaluated: a_s is then the scalar
     omega_a and b_s = omega_b m, bit for bit what omega_a + (+-0.0) m and
     (omega_b + (+-0.0) m) m give, as omega_a and omega_b are nonzero.
-    c_s = b_s - s a_s is formed once for every call.
+    c_s = b_s - s a_s is formed once for every call.  The labels s, m and
+    sqrt((s+1)(N-s)) come from the per-N table ``model._sector_labels``,
+    which ``sector_bands`` slices too, so k_s is the same product of the
+    same factors as there.
 
     Raises ValueError if some a_s <= kappa A: omega_a <= |lambda_z| makes
     H unbounded below.
     """
     N = params.n_atoms
-    s = np.arange(N + 1.0)
-    m = s - N / 2
+    s, m, spin = _sector_labels(N)
     if params.lambda_z != 0:
         a = params.omega_a + (params.lambda_z / params.j) * m
         a_min = a.min()
     else:
         a = a_min = params.omega_a
     b = (params.omega_b + (params.u / params.j) * m) * m if params.u != 0 else params.omega_b * m
-    k = (params.g / math.sqrt(N)) * np.sqrt((s + 1) * (N - s))
+    k = (params.g / math.sqrt(N)) * spin
     kappa = 16 * (N + 1) * _EPS
     big_a = params.omega_a + abs(params.lambda_z)
     big_b = (params.omega_b + abs(params.u)) * N / 2

@@ -45,7 +45,7 @@ class EigenError(RuntimeError):
     """Eigendecomposition failed to converge or to certify."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Certified spectrum of a real symmetric matrix.
 
@@ -56,6 +56,7 @@ class EigenDecomposition:
     numerically degenerate cluster (|l_i - l_j| < 1e-9 * scale) the
     vector ordering carries no meaning; downstream weights must be
     summed over clusters.
+    ``==`` and ``hash`` go by identity: arrays have no single truth value.
     """
 
     eigenvalues: np.ndarray

@@ -26,6 +26,7 @@ A sector is given by its tridiagonal bands (``sector_bands``, or dense
 (``parity_band``), both written from the same three diagonals of H.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -152,6 +153,21 @@ class FullBasis:
         return n * (self.n_atoms + 1) + s
 
 
+@functools.cache
+def _sector_labels(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(s, m, spin)``, read-only float64 arrays of length N + 1: s = 0..N,
+    m = s - N/2 and spin_s = sqrt((s+1)(N-s)) (spin_N = 0), the labels that
+    every sector of N atoms slices.  Kept per N, so a fixed-N scan builds
+    them once (``functools.cache`` keys np.int64(N) apart from the int N,
+    with the same bits)."""
+    s = np.arange(n_atoms + 1.0)
+    m = s - n_atoms / 2
+    spin = np.sqrt((s + 1) * (n_atoms - s))
+    for label in (s, m, spin):
+        label.flags.writeable = False
+    return s, m, spin
+
+
 def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     """``(diag, offdiag)`` of the sector P, of lengths dim and dim - 1.
 
@@ -169,22 +185,25 @@ def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     >= +0.0 with n >= 0, and omega_b m is +0.0 at m = 0).  The labels s
     and n are float64 from the start, so no ufunc casts them; they are
     exact integers (below 2**53), as is (s + 1)(N - s), so the bits are
-    those of integer labels.
+    those of integer labels.  s, m and sqrt((s+1)(N-s)) are the leading
+    entries of the per-N ``_sector_labels`` table; the returned bands are
+    new arrays that share no memory with it.
     """
     _require_count("p", p, 0)
     if params.g_prime != 0:
         raise ValueError("excitation sectors exist only for g_prime = 0")
     N = params.n_atoms
     j = params.j
-    s = np.arange(min(p, N) + 1.0)
-    m = s - N / 2
+    dim = min(p, N) + 1
+    s, m, spin = _sector_labels(N)
+    s, m = s[:dim], m[:dim]
     n = p - s
     diag = params.omega_a * n + params.omega_b * m
     if params.lambda_z != 0:
         diag += params.lambda_z * m * n / j
     if params.u != 0:
         diag += params.u * m**2 / j
-    off = (params.g / math.sqrt(N)) * np.sqrt((s[:-1] + 1) * (N - s[:-1])) * np.sqrt(n[:-1])
+    off = (params.g / math.sqrt(N)) * spin[: dim - 1] * np.sqrt(n[:-1])
     return diag, off
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from dickelab import ed, model
 from dickelab.ed import auto_nmax, ground_state_scan, solve_full, solve_ground, solve_sector
-from dickelab.eigen import EigenError
+from dickelab.eigen import EigenError, eigh
 from dickelab.model import (
     FullBasis,
     ModelParams,
@@ -181,6 +181,25 @@ def test_sector_eigenstates_have_exactly_zero_photon_coherence():
             for s in range(spec.basis.dim):
                 embedded[basis.index(p - s, s)] = spec.amplitudes[s, l]
             assert embedded @ (a @ embedded) == 0.0
+
+
+def test_result_objects_compare_and_hash_by_identity():
+    # each holds arrays, whose == has no single truth value: == and hash
+    # go by identity, so neither raises
+    params = ModelParams(g=1.3, n_atoms=4)
+    pairs = [
+        (solve_sector(params, 4), solve_sector(params, 4)),
+        (solve_ground(params), solve_ground(params)),
+        (solve_full(replace(params, g_prime=0.1), 6, 1), solve_full(replace(params, g_prime=0.1), 6, 1)),
+        (eigh(np.eye(2)), eigh(np.eye(2))),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+    # the plain records keep value equality
+    assert pairs[1][0].point == pairs[1][1].point
+    assert replace(params) == params
 
 
 def test_solve_full_decoupled_ladder():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dickelab import model
 from dickelab.model import (
     FullBasis,
     ModelParams,
@@ -142,13 +143,36 @@ def test_sector_bands_equal_the_four_term_diagonal(lambda_z, u):
     # of int64 labels, signed zeros (g = -0.0) included.
     for omega_a, omega_b in ((1.0, 1.0), (1.4, 0.7), (1, 2)):
         for g in (0.7, -0.0):
-            for n_atoms in range(1, 9):
+            for n_atoms in (*range(1, 9), 20, 200):
                 params = ModelParams(omega_a=omega_a, omega_b=omega_b, g=g, lambda_z=lambda_z, u=u, n_atoms=n_atoms)
-                for p in range(3 * n_atoms + 3):
+                # every P for small N; for large N, P just below, at and above N
+                ps = range(3 * n_atoms + 3) if n_atoms < 9 else (0, 1, n_atoms - 1, n_atoms, n_atoms + 1, 3 * n_atoms)
+                for p in ps:
                     for got, expected in zip(sector_bands(params, p), _reference_sector_bands(params, p)):
                         assert np.array_equal(got, expected)
                         assert np.array_equal(np.signbit(got), np.signbit(expected))
                         assert got.dtype == expected.dtype and got.shape == expected.shape
+
+
+def test_sector_label_tables_are_read_only_and_shared_by_no_band():
+    params = ModelParams(g=0.9, lambda_z=0.3, u=-0.2, n_atoms=6)
+    tables = model._sector_labels(6)
+    assert model._sector_labels(6) is tables
+    for table, same in zip(tables, model._sector_labels(np.int64(6))):
+        assert np.array_equal(table, same) and table.dtype == same.dtype
+        assert table.dtype == np.float64 and table.shape == (7,)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    for p in (0, 3, 6, 9):
+        first = [band.copy() for band in sector_bands(params, p)]
+        bands = sector_bands(params, p)
+        for band in bands:
+            assert band.flags.writeable
+            assert not any(np.shares_memory(band, table) for table in tables)
+            band[...] = np.nan
+        for got, expected in zip(sector_bands(params, p), first):
+            assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_sector_bands_reject_a_bad_sector_label():
