@@ -454,11 +454,21 @@ def _parse_cell(cell: str):
 
 
 def load_rows(data_dir) -> list[ComparisonRow]:
-    """Read every quantity CSV in a scan output directory back into rows;
-    raises ValueError, naming the file and line, on a row whose cell count
-    differs from its header's."""
+    """Read the quantity CSVs of a scan output directory back into rows:
+    those its ``manifest.json`` lists under ``"files"``, or every ``*.csv``
+    when it holds no manifest.  Raises FileNotFoundError on a listed CSV
+    that is missing, and ValueError, naming the file and line, on a row
+    whose cell count differs from its header's."""
     data_dir = Path(data_dir)
-    paths = sorted(data_dir.glob("*.csv"))
+    manifest = data_dir / "manifest.json"
+    if manifest.is_file():
+        listed = json.loads(manifest.read_text(encoding="utf-8"))["files"]
+        paths = [data_dir / name for name in sorted(listed) if name.endswith(".csv")]
+        missing = [path.name for path in paths if not path.is_file()]
+        if missing:
+            raise FileNotFoundError(f"{manifest} lists missing data files: {', '.join(missing)}")
+    else:
+        paths = sorted(data_dir.glob("*.csv"))
     if not paths:
         raise FileNotFoundError(f"no CSV data files found in {data_dir}")
     rows: list[ComparisonRow] = []
@@ -506,11 +516,13 @@ def compare_report(rows: list[ComparisonRow], thresholds: dict | None = None) ->
     goldstone and optical quantities.  Quantities without a threshold
     are reported but not enforced.  A NaN among a quantity's enforced
     deviations makes its ``max_deviation`` NaN, which fails its threshold.
+    A quantity named by explicit ``thresholds`` that has no rows is
+    reported with 0 rows and fails; the default thresholds skip it.
     """
     if not rows:
         raise ValueError("no rows to compare")
+    by_quantity: dict[str, list[ComparisonRow]] = {} if thresholds is None else {q: [] for q in thresholds}
     thresholds = DEFAULT_THRESHOLDS if thresholds is None else thresholds
-    by_quantity: dict[str, list[ComparisonRow]] = {}
     for r in rows:
         by_quantity.setdefault(r.quantity, []).append(r)
 

@@ -316,6 +316,39 @@ def test_criterion_09_counter_rotating_scaling():
     ])
 
 
+def test_anomalous_amplitude_is_odd_in_gprime():
+    # README "Known deviations", criterion 9: U = exp(i pi P / 2) keeps the
+    # P-conserving entries of H and flips the sign of the counter-rotating
+    # ones (P changes by 2), so U H(g') U^dagger = H(-g') = 2 H(0) - H(g')
+    # entry for entry, and <G|a a|G> flips sign with g' over equal spectra.
+    params = replace(RES_N2, g_prime=0.02)  # g = 2 g_c
+    n_max = max(dl.auto_nmax(params, parity) for parity in (1, -1))
+    assert n_max == 10
+    h_plus = dl.build_full_hamiltonian(params, n_max)
+    h_minus = 2 * dl.build_full_hamiltonian(replace(params, g_prime=0.0), n_max) - h_plus
+    n, s = np.divmod(np.arange(len(h_plus)), params.n_atoms + 1)
+    shift = (n + s)[:, None] - (n + s)[None, :]
+    assert np.all(h_plus[shift % 2 == 1] == 0.0)
+    assert np.array_equal(h_minus, np.where(shift % 4 == 0, h_plus, -h_plus))
+
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    aa = np.kron(a @ a, np.eye(params.n_atoms + 1))
+    blocks = dl.parity_blocks(params.n_atoms, n_max)
+    spectra, amplitudes = [], []
+    for h in (h_plus, h_minus):
+        decs = [dl.eigh(h[np.ix_(idx, idx)]) for idx in blocks]
+        k = 0 if decs[0].eigenvalues[0] <= decs[1].eigenvalues[0] else 1
+        ground = np.zeros(len(h))
+        ground[blocks[k]] = decs[k].eigenvectors[:, 0]
+        spectra.append([dec.eigenvalues for dec in decs])
+        amplitudes.append(float(ground @ aa @ ground))
+    assert all(np.array_equal(x, y) for x, y in zip(*spectra))
+    assert amplitudes[0] == pytest.approx(0.2706152582523196, abs=1e-12)
+    assert amplitudes[1] == pytest.approx(-0.2706152582523196, abs=1e-12)
+    weight = dl.anomalous_weight(dl.solve_full(params, n_max, 1), dl.solve_full(params, n_max, -1))
+    assert abs(amplitudes[0]) == pytest.approx(weight, abs=1e-12)
+
+
 def test_criterion_10_numerical_hygiene():
     certificates = []
     for g in (0.3, 1.0, 2.4):

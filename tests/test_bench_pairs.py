@@ -1,3 +1,4 @@
+import json
 import importlib.util
 from pathlib import Path
 
@@ -86,3 +87,72 @@ def test_pairs_must_be_positive(capsys):
         bench_pairs.main(["--parent-root", ".", "--workload", "staircase_n5", "--pairs", "0"])
     assert exc.value.code == 2
     assert "--pairs must be at least 1" in capsys.readouterr().err
+
+
+_STUB_RUN = """import json, sys
+from pathlib import Path
+log = Path({log!r})
+runs = log.read_text().count("\\n") if log.exists() else 0
+with log.open("a") as fh:
+    fh.write({side!r} + " " + " ".join(sys.argv[1:]) + "\\n")
+print("revision: " + {revision!r})
+print("== staircase_n5  seed 0  trace 0  3 units, 30 points")
+print("   machine: " + json.dumps({{"cpu_count": 2, "side": {side!r}}}))
+metrics = {{"points_per_s": {{"value": {rate} + runs, "unit": "1/s"}},
+           "peak_rss_mb": {{"value": 60.0, "unit": "MB"}}}}
+print(json.dumps({{"correct": {correct}, "attempted": 30, "failed": 0, "metrics": metrics}}))
+sys.exit({code})
+"""
+
+
+def _stub(tmp_path, side, rate, correct=True, code=0):
+    """A checkout whose bench/run.py logs its side and prints canned lines."""
+    root = tmp_path / side
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(_STUB_RUN.format(
+        log=str(tmp_path / "log"), side=side, revision=f"rev-{side}", rate=rate, correct=correct, code=code,
+    ))
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    return root
+
+
+def _run_tool(monkeypatch, parent, change, out):
+    monkeypatch.setattr(bench_pairs, "ROOT", change)
+    argv = ["--parent-root", str(parent), "--workload", "staircase_n5", "--pairs", "3", "--seed", "7"]
+    return bench_pairs.main(argv + ["--out", str(out)])
+
+
+def test_pairs_alternate_and_the_record_holds_every_run(tmp_path, monkeypatch, capsys):
+    parent, change = _stub(tmp_path, "parent", 100.0), _stub(tmp_path, "change", 200.0)
+    out = tmp_path / "BENCH_stub.json"
+    assert _run_tool(monkeypatch, parent, change, out) == 0
+    log = (tmp_path / "log").read_text().splitlines()
+    assert [line.split()[0] for line in log] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert set(line.split(" ", 1)[1] for line in log) == {"--workload staircase_n5 --seed 7"}
+
+    record = json.loads(out.read_text())
+    assert out.read_text() == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    assert (record["workload"], record["seed"], record["pairs"]) == ("staircase_n5", 7, 3)
+    for side, rates in (("parent", [100.0, 103.0, 104.0]), ("change", [201.0, 202.0, 205.0])):
+        assert record[side]["revision"] == f"rev-{side}"
+        assert record[side]["machines"] == {"staircase_n5": {"cpu_count": 2, "side": side}}
+        assert record[side]["runs"] == [{"points_per_s": r, "peak_rss_mb": 60.0} for r in rates]
+    # the summary rows, in printed order, are those of the recorded runs
+    rows = bench_pairs.summarize(record["parent"]["runs"], record["change"]["runs"], END_TO_END)
+    by_metric = {row["metric"]: row for row in json.loads(json.dumps(rows))}
+    assert [row["metric"] for row in record["summary"]] == ["points_per_s", "peak_rss_mb"]
+    assert record["summary"] == [by_metric[row["metric"]] for row in record["summary"]]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-3:-1] == [bench_pairs.format_row(row) for row in record["summary"]]
+    assert printed[-1] == f"wrote {out}"
+    assert (record["summary"][0]["wins"], record["summary"][0]["parent_median"]) == (3, 103.0)
+
+
+@pytest.mark.parametrize("failure", [{"code": 1}, {"correct": False}])
+def test_a_failed_run_ends_the_tool_and_writes_no_record(tmp_path, monkeypatch, capsys, failure):
+    parent, change = _stub(tmp_path, "parent", 100.0), _stub(tmp_path, "change", 200.0, **failure)
+    out = tmp_path / "BENCH_stub.json"
+    assert _run_tool(monkeypatch, parent, change, out) == 1
+    assert not out.exists()
+    assert "pair 1 change" in capsys.readouterr().err
+    assert [line.split()[0] for line in (tmp_path / "log").read_text().splitlines()] == ["parent", "change"]

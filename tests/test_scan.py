@@ -387,6 +387,56 @@ def test_cli_compare_fails_on_tight_thresholds(tmp_path):
     assert main(["compare", str(tmp_path / "out"), "--thresholds", str(thresholds)]) == 1
 
 
+def test_cli_compare_reads_only_the_files_the_manifest_lists(tmp_path, capsys):
+    # an N = 3 higgs and optical scan, then an N = 12 higgs-only scan into
+    # the same directory: the stale N = 3 optical.csv fails the default band
+    out = tmp_path / "out"
+    grid = {"start": 2.0, "stop": 3.0, "count": 26}
+    for n_atoms, quantities in ((3, ["higgs", "optical"]), (12, ["higgs"])):
+        model = {"omega_a": 1.0, "omega_b": 1.0, "n_atoms": n_atoms}
+        cfg = _write_config(tmp_path, model=model, grid=grid, quantities=quantities)
+        assert main(["scan", str(cfg)]) == 0
+    assert (out / "optical.csv").is_file()
+    assert {row.quantity for row in load_rows(out)} == {"higgs"}
+    capsys.readouterr()
+    assert main(["compare", str(out)]) == 0
+    out_text = capsys.readouterr().out
+    assert not any(line.startswith("optical") for line in out_text.splitlines())
+    # without the manifest every CSV is read, the stale one too
+    (out / "manifest.json").unlink()
+    assert main(["compare", str(out)]) == 1
+    assert {row.quantity for row in load_rows(out)} == {"higgs", "optical"}
+
+
+def test_cli_compare_rejects_a_listed_file_that_is_missing(tmp_path, capsys):
+    cfg = _write_config(tmp_path, quantities=["higgs", "mandel"])
+    assert main(["scan", str(cfg)]) == 0
+    (tmp_path / "out" / "mandel.csv").unlink()
+    assert main(["compare", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "mandel.csv" in err
+
+
+def test_explicit_thresholds_fail_a_quantity_without_rows(tmp_path, capsys):
+    report = compare_report([_row("higgs", 0.0)], {"higgs": 0.1, "optical": 0.01})
+    optical = next(q for q in report.quantities if q.quantity == "optical")
+    assert (optical.n_rows, optical.n_enforced, optical.max_deviation, optical.passed) == (0, 0, None, False)
+    assert not report.passed
+    # the default thresholds skip quantities the rows do not carry
+    assert [q.quantity for q in compare_report([_row("higgs", 0.0)]).quantities] == ["higgs"]
+
+    cfg = _write_config(tmp_path, quantities=["higgs", "mandel", "weights"])
+    assert main(["scan", str(cfg)]) == 0
+    thresholds = tmp_path / "thresholds.json"
+    thresholds.write_text(json.dumps({"optical": 0.01}))
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "out"), "--thresholds", str(thresholds)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    optical = next(line for line in lines if line.startswith("optical")).split()
+    assert optical[1:3] == ["0", "0"] and optical[-1] == "FAIL"
+    assert lines[-1] == "overall: FAIL"
+
+
 @pytest.mark.parametrize(
     "n_atoms, passed, c_o, optical", [(3, False, 0.357, 0.121), (12, True, 0.098, 0.025)]
 )

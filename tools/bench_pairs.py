@@ -1,7 +1,7 @@
-"""Run the benchmark in alternating pairs of two checkouts and summarize.
+"""Run the benchmark in alternating pairs of two checkouts, summarize, record.
 
     python3 tools/bench_pairs.py --parent-root ../parent --workload staircase_n5
-    python3 tools/bench_pairs.py --parent-root ../parent --workload all --pairs 3 --seed 1
+    python3 tools/bench_pairs.py --parent-root ../parent --workload all --pairs 3 --out BENCH_NAME.json
 
 Runs ``python3 bench/run.py --workload W --seed S`` in the checkout
 ``--parent-root`` and in the one this script sits in, alternately: the
@@ -20,8 +20,13 @@ this checkout's ``BENCHMARK.json``:
   either side's interquartile range exceeds the bound relative to its
   median, unless every change run reads better than every parent run.
 
-It writes no file.  The exit code is 1 if a run fails (non-zero exit or
-no result line), else 0; a verdict does not change it.
+With ``--out PATH`` it writes the record of all this to PATH as JSON
+(indent 2, sorted keys): the workload, seed and pair count, each side's
+revision and machines (the ``revision:`` and ``machine:`` lines of its
+first run), every run's end-to-end metrics in pair order, and the summary
+rows it printed.  The exit code is 1 if a run fails (non-zero exit, no
+result line, or a result that is not correct or has failed points), and
+then no file is written; else 0, whatever the verdicts.
 """
 
 import argparse
@@ -34,9 +39,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
-    """The end-to-end metrics of one ``bench/run.py`` run in ``root``:
-    ``{name: value}``, names prefixed ``<workload>.`` under ``all``."""
+def run_once(root: Path, workload: str, seed: int) -> tuple[str, dict, dict]:
+    """``(revision, machines, metrics)`` of one ``bench/run.py`` run in
+    ``root``: its ``revision:`` line, ``{workload: machine}`` from its
+    ``machine:`` lines and the end-to-end metrics ``{name: value}``, names
+    prefixed ``<workload>.`` under ``all``."""
     proc = subprocess.run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload", workload, "--seed", str(seed)],
         cwd=root, stdout=subprocess.PIPE, text=True,
@@ -47,7 +54,15 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"bench/run.py in {root}: correct {result['correct']}, failed {result['failed']}")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    revision, machines, name = "unknown", {}, workload
+    for line in map(str.strip, lines):
+        if line.startswith("revision: "):
+            revision = line[len("revision: "):]
+        elif line.startswith("== "):
+            name = line.split()[1]
+        elif line.startswith("machine: "):
+            machines[name] = json.loads(line[len("machine: "):])
+    return revision, machines, {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
 def quartiles(values):
@@ -93,37 +108,52 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
     return rows
 
 
+def format_row(row: dict) -> str:
+    """The printed summary line of a ``summarize`` row."""
+    (p_lo, p_hi), (c_lo, c_hi) = row["parent_quartiles"], row["change_quartiles"]
+    return (
+        f"{row['metric']:<32} {row['unit']:<4} ({row['better']} is better)  "
+        f"parent {row['parent_median']:.6g} [{p_lo:.6g} .. {p_hi:.6g}]  "
+        f"change {row['change_median']:.6g} [{c_lo:.6g} .. {c_hi:.6g}]  "
+        f"wins {row['wins']}/{row['pairs']}  claim {'met' if row['claim'] else 'not met'}  bound {row['bound']}"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent-root", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", type=Path, default=None, help="write the record to this JSON file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if args.out is not None and not args.out.resolve().parent.is_dir():
+        parser.error(f"--out {args.out}: no such directory")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    sides = {"parent": args.parent_root.resolve(), "change": ROOT}
-    runs = {"parent": [], "change": []}
+    roots = {"parent": args.parent_root.resolve(), "change": ROOT}
+    sides = {side: {"revision": None, "machines": None, "runs": []} for side in roots}
     for pair in range(1, args.pairs + 1):
         for side in ("parent", "change") if pair % 2 else ("change", "parent"):
             try:
-                metrics = run_once(sides[side], args.workload, args.seed)
+                revision, machines, metrics = run_once(roots[side], args.workload, args.seed)
             except (RuntimeError, json.JSONDecodeError, KeyError) as exc:
                 print(f"pair {pair} {side}: {exc}", file=sys.stderr)
                 return 1
-            runs[side].append(metrics)
+            if not sides[side]["runs"]:
+                sides[side].update(revision=revision, machines=machines)
+            sides[side]["runs"].append(metrics)
             values = "  ".join(f"{name} {value:.6g}" for name, value in metrics.items())
             print(f"pair {pair:>2} {side:<6} {values}", flush=True)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs (parent first in odd pairs)")
-    for row in summarize(runs["parent"], runs["change"], spec["end_to_end"]):
-        (p_lo, p_hi), (c_lo, c_hi) = row["parent_quartiles"], row["change_quartiles"]
-        print(
-            f"{row['metric']:<32} {row['unit']:<4} ({row['better']} is better)  "
-            f"parent {row['parent_median']:.6g} [{p_lo:.6g} .. {p_hi:.6g}]  "
-            f"change {row['change_median']:.6g} [{c_lo:.6g} .. {c_hi:.6g}]  "
-            f"wins {row['wins']}/{row['pairs']}  claim {'met' if row['claim'] else 'not met'}  bound {row['bound']}"
-        )
+    rows = summarize(sides["parent"]["runs"], sides["change"]["runs"], spec["end_to_end"])
+    for row in rows:
+        print(format_row(row))
+    if args.out is not None:
+        record = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs, **sides, "summary": rows}
+        args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {args.out}")
     return 0
 
 
