@@ -168,6 +168,19 @@ def _sector_labels(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, m, spin
 
 
+def _diagonal(params: ModelParams, n, m):
+    """omega_a n + omega_b m + lambda_z m n/j + u m^2/j, H's diagonal at photon
+    numbers n and spin labels m (float64, broadcast).  A zero lambda_z or u
+    term (either sign) is skipped, which is exact: it is +-0.0, and no partial
+    sum is -0.0 (omega_a n >= +0.0 with n >= 0, omega_b m is +0.0 at m = 0)."""
+    diag = params.omega_a * n + params.omega_b * m
+    if params.lambda_z != 0:
+        diag += params.lambda_z * m * n / params.j
+    if params.u != 0:
+        diag += params.u * m**2 / params.j
+    return diag
+
+
 def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     """``(diag, offdiag)`` of the sector P, of lengths dim and dim - 1.
 
@@ -175,79 +188,66 @@ def sector_bands(params: ModelParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     that defines the sectors.  Matrix elements follow a|n> = sqrt(n)|n-1>
     and J+|j,m> = sqrt((j-m)(j+m+1))|j,m+1> with m = s - N/2:
 
-        H[s, s]   = omega_a (P-s) + omega_b m
-                    + lambda_z m (P-s)/j + u m^2/j
-        H[s, s+1] = (g/sqrt(N)) sqrt((s+1)(N-s)) sqrt(P-s)
+        H[s, s]   = ``_diagonal`` at n = P - s
+        H[s, s+1] = ((g/sqrt(N)) sqrt((s+1)(N-s))) sqrt(P-s)
 
-    A lambda_z or u term whose coupling is zero (either sign) is not
-    evaluated.  That is exact: the term would be +-0.0, and adding +-0.0
-    leaves every partial sum unchanged because none is -0.0 (omega_a n
-    >= +0.0 with n >= 0, and omega_b m is +0.0 at m = 0).  The labels s
-    and n are float64 from the start, so no ufunc casts them; they are
-    exact integers (below 2**53), as is (s + 1)(N - s), so the bits are
-    those of integer labels.  s, m and sqrt((s+1)(N-s)) are the leading
-    entries of the per-N ``_sector_labels`` table; the returned bands are
-    new arrays that share no memory with it.
+    s, m and sqrt((s+1)(N-s)) are the leading entries of the per-N
+    ``_sector_labels`` table; s and n are exact integers in float64 (below
+    2**53), as is (s + 1)(N - s), so the bits are those of integer labels.
+    The bands are new arrays that share no memory with the table.
     """
     _require_count("p", p, 0)
     if params.g_prime != 0:
         raise ValueError("excitation sectors exist only for g_prime = 0")
     N = params.n_atoms
-    j = params.j
     dim = min(p, N) + 1
     s, m, spin = _sector_labels(N)
-    s, m = s[:dim], m[:dim]
-    n = p - s
-    diag = params.omega_a * n + params.omega_b * m
-    if params.lambda_z != 0:
-        diag += params.lambda_z * m * n / j
-    if params.u != 0:
-        diag += params.u * m**2 / j
+    n = p - s[:dim]
     off = (params.g / math.sqrt(N)) * spin[: dim - 1] * np.sqrt(n[:-1])
-    return diag, off
+    return _diagonal(params, n, m[:dim]), off
+
+
+def _dense(dim: int, diagonals) -> np.ndarray:
+    """Dense (dim, dim) H, zero but for H[i + offset, i] = H[i, i + offset] =
+    values[i] for each ``(offset, values)``, written strided into the entries."""
+    h = np.zeros((dim, dim))
+    flat = h.ravel()
+    for offset, values in diagonals:
+        # h[i, i + offset]; the stop keeps the slice from wrapping into the lower triangle
+        flat[offset : values.size * dim : dim + 1] = values
+        flat[offset * dim :: dim + 1] = values  # h[i + offset, i]
+    return h
 
 
 def build_sector_hamiltonian(params: ModelParams, p: int) -> np.ndarray:
     """Dense symmetric form of ``sector_bands(params, p)``."""
     diag, off = sector_bands(params, p)
-    h = np.zeros((diag.size, diag.size))
-    flat = h.ravel()
-    # strided views of the row-major entries: h[i, i], h[i, i + 1], h[i + 1, i]
-    for start, band in ((0, diag), (1, off), (diag.size, off)):
-        flat[start :: diag.size + 1] = band
-    return h
+    return _dense(diag.size, ((0, diag), (1, off)))
 
 
 def _full_diagonals(params: ModelParams, n_max: int):
     """Yield ``(offset, values)``, H[i + offset, i] = H[i, i + offset] =
     values[i] for i < dim - offset (H is zero elsewhere) on ``FullBasis(N,
-    n_max)``: the diagonal at 0, the rotating term (n, s) <-> (n+1, s-1)
-    with (g/sqrt(N)) sqrt(n+1) sqrt(s(N-s+1)) at N and the counter-rotating
-    (n, s) <-> (n+1, s+1) with (g'/sqrt(N)) sqrt(n+1) sqrt((s+1)(N-s)) at
-    N + 2.  No coupling leaves the truncation or is added: where s -+ 1
-    would leave 0..N the spin factor is zero, every other such row has
-    n < n_max; so with g' = 0, H commutes exactly with n + s."""
+    n_max)``, the ``_sector_labels`` broadcast over the photon layers n:
+    ``_diagonal`` at 0, and in the order of ``sector_bands`` ((g/sqrt(N))
+    spin_{s-1}) sqrt(n+1) at N for (n, s) <-> (n+1, s-1), ((g'/sqrt(N))
+    spin_s) sqrt(n+1) at N + 2 for (n, s) <-> (n+1, s+1).  No coupling
+    leaves the truncation or is added: where s -+ 1 would leave 0..N the
+    spin factor is zero (spin_{-1} = spin_N = 0), every other such row has
+    n < n_max; so with g' = 0, H commutes exactly with n + s, and each
+    sector's entries are its ``sector_bands`` bit for bit."""
     N = params.n_atoms
-    j = params.j
-    n, s = np.divmod(np.arange(FullBasis(n_atoms=N, n_max=n_max).dim), N + 1)
-    m = s - N / 2
-    yield 0, params.omega_a * n + params.omega_b * m + params.lambda_z * m * n / j + params.u * m**2 / j
-    for offset, coupling, spin in ((N, params.g, s * (N - s + 1)), (N + 2, params.g_prime, (s + 1) * (N - s))):
-        rows = max(n.size - offset, 0)
-        yield offset, (coupling / math.sqrt(N)) * np.sqrt(n[:rows] + 1) * np.sqrt(spin[:rows])
+    _, m, spin = _sector_labels(N)
+    n = np.arange(n_max + 1.0)[:, None]
+    yield 0, _diagonal(params, n, m).ravel()
+    for offset, coupling, factor in ((N, params.g, np.roll(spin, 1)), (N + 2, params.g_prime, spin)):
+        values = ((coupling / math.sqrt(N)) * factor) * np.sqrt(n + 1)
+        yield offset, values.ravel()[: max(values.size - offset, 0)]
 
 
 def build_full_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
-    """Dense H on ``FullBasis(params.n_atoms, n_max)``: each of the
-    ``_full_diagonals`` is written strided into the row-major entries."""
-    dim = FullBasis(n_atoms=params.n_atoms, n_max=n_max).dim
-    h = np.zeros((dim, dim))
-    flat = h.ravel()
-    for offset, values in _full_diagonals(params, n_max):
-        # h[i, i + offset]; the stop keeps the slice from wrapping into the lower triangle
-        flat[offset : values.size * dim : dim + 1] = values
-        flat[offset * dim :: dim + 1] = values  # h[i + offset, i]
-    return h
+    """Dense H on ``FullBasis(params.n_atoms, n_max)`` from its ``_full_diagonals``."""
+    return _dense(FullBasis(n_atoms=params.n_atoms, n_max=n_max).dim, _full_diagonals(params, n_max))
 
 
 def parity_blocks(n_atoms: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -268,11 +268,10 @@ def parity_band(params: ModelParams, n_max: int, parity: int) -> tuple[np.ndarra
     idx = parity_blocks(params.n_atoms, n_max)[(1 - parity) // 2]
     pos = np.full((params.n_atoms + 1) * (n_max + 1), -1)  # block position of each index, or -1
     pos[idx] = np.arange(idx.size)
-    inside = pos >= 0
     ab = np.zeros(((params.n_atoms + 3) // 2 + 1, idx.size), order="F")
     diagonals = _full_diagonals(params, n_max)
     ab[0] = next(diagonals)[1][idx]  # offset 0, the first one yielded
     for offset, values in diagonals:
-        i = np.nonzero(inside[: values.size] & inside[offset:])[0]  # i and i + offset in the block
+        i = np.flatnonzero((pos[: values.size] >= 0) & (pos[offset:] >= 0))  # i and i + offset in the block
         ab[pos[i + offset] - pos[i], pos[i]] = values[i]
     return idx, ab

@@ -454,25 +454,31 @@ def _parse_cell(cell: str):
 
 
 def load_rows(data_dir) -> list[ComparisonRow]:
-    """Read the quantity CSVs of a scan output directory back into rows:
-    those its ``manifest.json`` lists under ``"files"``, or every ``*.csv``
-    when it holds no manifest.  Raises FileNotFoundError on a listed CSV
-    that is missing, and ValueError, naming the file and line, on a row
-    whose cell count differs from its header's."""
+    """Read the quantity files of a scan output directory back into rows:
+    each file its ``manifest.json`` lists under ``"files"`` (a quantity's
+    CSV, or its JSON when the scan wrote no CSV), or every ``*.csv`` when it
+    holds no manifest.  Raises FileNotFoundError on a listed file that is
+    missing, and ValueError, naming the file and line, on a CSV row whose
+    cell count differs from its header's."""
     data_dir = Path(data_dir)
     manifest = data_dir / "manifest.json"
     if manifest.is_file():
         listed = json.loads(manifest.read_text(encoding="utf-8"))["files"]
-        paths = [data_dir / name for name in sorted(listed) if name.endswith(".csv")]
+        names = (n for n in sorted(listed) if n.endswith(".csv") or n.endswith(".json") and n[:-5] + ".csv" not in listed)
+        paths = [data_dir / name for name in names]
         missing = [path.name for path in paths if not path.is_file()]
         if missing:
             raise FileNotFoundError(f"{manifest} lists missing data files: {', '.join(missing)}")
     else:
         paths = sorted(data_dir.glob("*.csv"))
     if not paths:
-        raise FileNotFoundError(f"no CSV data files found in {data_dir}")
+        raise FileNotFoundError(f"no data files found in {data_dir}")
     rows: list[ComparisonRow] = []
     for path in paths:
+        if path.suffix == ".json":  # cells as written: float or null, int p_star, bool near_qcp
+            records = json.loads(path.read_text(encoding="utf-8"))
+            rows += [ComparisonRow(*(r[c] for c in _COLUMNS), r.get("analytic_envelope")) for r in records]
+            continue
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             for record in reader:
@@ -481,15 +487,10 @@ def load_rows(data_dir) -> list[ComparisonRow]:
                     raise ValueError(f"{path}, line {reader.line_num}: cell count differs from the header's")
                 p_star = record.get("p_star", "")
                 rows.append(ComparisonRow(
-                    quantity=record["quantity"],
-                    g=float(record["g"]),
-                    g_over_gc=float(record["g_over_gc"]),
-                    p_star=None if p_star == "" else int(p_star),
-                    ed_value=_parse_cell(record["ed_value"]),
-                    analytic_value=_parse_cell(record["analytic_value"]),
-                    rel_deviation=_parse_cell(record["rel_deviation"]),
-                    near_qcp=record["near_qcp"] == "true",
-                    envelope=_parse_cell(record.get("analytic_envelope", "") or ""),
+                    record["quantity"], float(record["g"]), float(record["g_over_gc"]),
+                    None if p_star == "" else int(p_star),
+                    *(_parse_cell(record[c]) for c in ("ed_value", "analytic_value", "rel_deviation")),
+                    record["near_qcp"] == "true", _parse_cell(record.get("analytic_envelope", "")),
                 ))
     return rows
 

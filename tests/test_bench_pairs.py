@@ -51,6 +51,15 @@ def test_claim_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr():
     assert not row["claim"]
 
 
+@pytest.mark.parametrize("pairs", [1, 3, 9])
+def test_a_claim_needs_at_least_ten_pairs(pairs):
+    # every pair won, far beyond the parent's spread, and still too few pairs
+    row = _row("points_per_s", [100.0] * pairs, [200.0] * pairs)
+    assert (row["wins"], row["pairs"], row["claim"], row["bound"]) == (pairs, pairs, False, "holds")
+    assert "claim not met" in bench_pairs.format_row(row)
+    assert _row("points_per_s", [100.0] * 10, [200.0] * 10)["claim"]
+
+
 def test_lower_is_better_metrics_count_wins_downwards():
     parent = [2.0e-4] * 10
     change = [1.8e-4] * 10

@@ -211,8 +211,10 @@ def test_full_hamiltonian_single_counter_rotating_element():
 
 
 def _mask_and_scatter_full_hamiltonian(params, n_max):
-    """Reference assembly of the full H: the diagonal, then each coupling
-    scattered onto the source rows that a mask keeps inside the truncation."""
+    """Reference assembly of the full H from int64 labels: the diagonal, then
+    each coupling scattered onto the source rows that a mask keeps inside
+    the truncation.  Each coupling is ((g/sqrt(N)) spin) sqrt(n+1), the
+    order in which the sector bands form it."""
     N = params.n_atoms
     j = params.j
     dim = FullBasis(n_atoms=N, n_max=n_max).dim
@@ -226,14 +228,14 @@ def _mask_and_scatter_full_hamiltonian(params, n_max):
     src = np.where((n + 1 <= n_max) & (s >= 1))[0]
     if src.size and params.g != 0:
         dst = src + (N + 1) - 1
-        val = (params.g / np.sqrt(N)) * np.sqrt(n[src] + 1) * np.sqrt(s[src] * (N - s[src] + 1))
+        val = (params.g / np.sqrt(N)) * np.sqrt(s[src] * (N - s[src] + 1)) * np.sqrt(n[src] + 1)
         h[src, dst] += val
         h[dst, src] += val
     # counter-rotating: (n, s) -> (n+1, s+1)
     src = np.where((n + 1 <= n_max) & (s + 1 <= N))[0]
     if src.size and params.g_prime != 0:
         dst = src + (N + 1) + 1
-        val = (params.g_prime / np.sqrt(N)) * np.sqrt(n[src] + 1) * np.sqrt((s[src] + 1) * (N - s[src]))
+        val = (params.g_prime / np.sqrt(N)) * np.sqrt((s[src] + 1) * (N - s[src])) * np.sqrt(n[src] + 1)
         h[src, dst] += val
         h[dst, src] += val
     return h
@@ -258,6 +260,29 @@ def test_full_hamiltonian_equals_the_mask_and_scatter_assembly(couplings):
             params = ModelParams(n_atoms=n_atoms, **couplings)
             h = build_full_hamiltonian(params, n_max)
             assert h.tobytes() == _mask_and_scatter_full_hamiltonian(params, n_max).tobytes(), (n_atoms, n_max)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 5, 8, 13])
+def test_sector_bands_are_the_full_hamiltonian_entries_bit_for_bit(n_atoms):
+    # at g' = 0 each sector P <= n_max lies whole inside the truncation, at
+    # the indices (P - s)(N + 1) + s of parity (-1)^P
+    n_max = 30
+    for g in (0.3, 1.1, 2.7, 3.14159):
+        for lambda_z, u in ((0.0, 0.0), (0.3, 0.0), (0.0, -0.2), (0.3, -0.2)):
+            for omega_b in (1.0, 0.7, 1.6):
+                params = ModelParams(omega_b=omega_b, g=g, lambda_z=lambda_z, u=u, n_atoms=n_atoms)
+                h = build_full_hamiltonian(params, n_max)
+                bands = {parity: model.parity_band(params, n_max, parity) for parity in (1, -1)}
+                for p in range(n_max + 1):
+                    diag, off = sector_bands(params, p)
+                    s = np.arange(diag.size)
+                    i = (p - s) * (n_atoms + 1) + s  # descending: state s + 1 sits N rows above s
+                    idx, ab = bands[(-1) ** p]
+                    k = np.searchsorted(idx, i)
+                    assert np.array_equal(idx[k], i)
+                    for got_diag, got_off in ((h[i, i], h[i[1:], i[:-1]]), (ab[0, k], ab[k[:-1] - k[1:], k[1:]])):
+                        assert got_diag.tobytes() == diag.tobytes(), (params, p)
+                        assert got_off.tobytes() == off.tobytes(), (params, p)
 
 
 def test_parity_blocks_small_cases():

@@ -208,10 +208,9 @@ def test_anomalous_weight_validates_blocks():
     with pytest.raises(ValueError):
         anomalous_weight(even, other)
 
-# Anomalous weights recorded with the a-blocks sliced out of a dense
-# annihilation matrix; the flat-index a-blocks are the same arrays, so
-# every weight must match to the last bit.  The golden scan file covers
-# N = 2 only.
+# Anomalous weights recorded with the full-basis couplings formed in the
+# order of the sector bands, ((g/sqrt(N)) spin) sqrt(n+1); every weight
+# must match to the last bit.  The golden scan file covers N = 2 only.
 # (N, template, g/g_c, g'/g, n_max, weight as float hex)
 ANOMALOUS_WEIGHTS = [
     (1, "resonant", 0.5, 0.01, 8, "0x1.767db0366a0a3p-10"),
@@ -226,30 +225,30 @@ ANOMALOUS_WEIGHTS = [
     (1, "detuned", 1.5, 0.2, 10, "0x1.bca444b01a11bp-3"),
     (1, "detuned", 3.0, 0.01, 9, "0x1.269f5323dae66p-4"),
     (1, "detuned", 3.0, 0.2, 15, "0x1.435c8bdb2dc35p+0"),
-    (3, "resonant", 0.5, 0.01, 8, "0x1.9ded2b04d9b0fp-10"),
-    (3, "resonant", 0.5, 0.2, 8, "0x1.066d8a8c065cdp-5"),
-    (3, "resonant", 1.5, 0.01, 9, "0x1.e3a48cadd4672p-3"),
-    (3, "resonant", 1.5, 0.2, 17, "0x1.0a4f002f5050cp+1"),
-    (3, "resonant", 3.0, 0.01, 17, "0x1.139f4c63d1c03p+2"),
-    (3, "resonant", 3.0, 0.2, 35, "0x1.2d4692e395ba2p+3"),
-    (3, "detuned", 0.5, 0.01, 8, "0x1.1d3e3fb6ecb76p-10"),
-    (3, "detuned", 0.5, 0.2, 8, "0x1.68ed779432d76p-6"),
-    (3, "detuned", 1.5, 0.01, 8, "0x1.18a6658bd9d98p-4"),
-    (3, "detuned", 1.5, 0.2, 13, "0x1.0b8cf45abbc9ep+0"),
-    (3, "detuned", 3.0, 0.01, 13, "0x1.2021e8894d605p+0"),
-    (3, "detuned", 3.0, 0.2, 26, "0x1.3d42b069004eap+2"),
+    (3, "resonant", 0.5, 0.01, 8, "0x1.9ded2b04d9b0cp-10"),
+    (3, "resonant", 0.5, 0.2, 8, "0x1.066d8a8c065ccp-5"),
+    (3, "resonant", 1.5, 0.01, 9, "0x1.e3a48cadd45b5p-3"),
+    (3, "resonant", 1.5, 0.2, 17, "0x1.0a4f002f50516p+1"),
+    (3, "resonant", 3.0, 0.01, 17, "0x1.139f4c63d1ba0p+2"),
+    (3, "resonant", 3.0, 0.2, 35, "0x1.2d4692e395ba4p+3"),
+    (3, "detuned", 0.5, 0.01, 8, "0x1.1d3e3fb6ecb7cp-10"),
+    (3, "detuned", 0.5, 0.2, 8, "0x1.68ed779432d78p-6"),
+    (3, "detuned", 1.5, 0.01, 8, "0x1.18a6658bd9d70p-4"),
+    (3, "detuned", 1.5, 0.2, 13, "0x1.0b8cf45abbca5p+0"),
+    (3, "detuned", 3.0, 0.01, 13, "0x1.2021e8894d700p+0"),
+    (3, "detuned", 3.0, 0.2, 26, "0x1.3d42b069004e9p+2"),
     (4, "resonant", 0.5, 0.01, 8, "0x1.a372d7f130b45p-10"),
-    (4, "resonant", 0.5, 0.2, 8, "0x1.0abd4b6d5c034p-5"),
-    (4, "resonant", 1.5, 0.01, 10, "0x1.8ead1fb266d1bp-2"),
-    (4, "resonant", 1.5, 0.2, 19, "0x1.69e1b03dabd60p+1"),
-    (4, "resonant", 3.0, 0.01, 21, "0x1.ae7e403fb5af7p+2"),
-    (4, "resonant", 3.0, 0.2, 42, "0x1.948348b2d0deep+3"),
+    (4, "resonant", 0.5, 0.2, 8, "0x1.0abd4b6d5c032p-5"),
+    (4, "resonant", 1.5, 0.01, 10, "0x1.8ead1fb266c6dp-2"),
+    (4, "resonant", 1.5, 0.2, 19, "0x1.69e1b03dabd74p+1"),
+    (4, "resonant", 3.0, 0.01, 21, "0x1.ae7e403fb5c73p+2"),
+    (4, "resonant", 3.0, 0.2, 42, "0x1.948348b2d0ddcp+3"),
     (4, "detuned", 0.5, 0.01, 8, "0x1.22218b134b0f7p-10"),
-    (4, "detuned", 0.5, 0.2, 8, "0x1.70472f9979fbep-6"),
+    (4, "detuned", 0.5, 0.2, 8, "0x1.70472f9979fb7p-6"),
     (4, "detuned", 1.5, 0.01, 9, "0x1.46cb229dde0ecp-3"),
-    (4, "detuned", 1.5, 0.2, 15, "0x1.7d00f14780e62p+0"),
-    (4, "detuned", 3.0, 0.01, 15, "0x1.30753ef942456p+1"),
-    (4, "detuned", 3.0, 0.2, 30, "0x1.ace4a4155ed5ep+2"),
+    (4, "detuned", 1.5, 0.2, 15, "0x1.7d00f14780e6ap+0"),
+    (4, "detuned", 3.0, 0.01, 15, "0x1.30753ef942345p+1"),
+    (4, "detuned", 3.0, 0.2, 30, "0x1.ace4a4155ed82p+2"),
 ]
 
 

@@ -408,6 +408,31 @@ def test_cli_compare_reads_only_the_files_the_manifest_lists(tmp_path, capsys):
     assert {row.quantity for row in load_rows(out)} == {"higgs", "optical"}
 
 
+def test_cli_compare_reads_a_json_only_scan_as_its_csv_twin(tmp_path, capsys):
+    # one config written as CSV only and as JSON only: the same rows (None
+    # cells of the normal phase, ints, bools and the goldstone envelope
+    # included) and the same report
+    quantities = ["spectrum", "goldstone", "higgs", "weights", "mandel"]
+    grid = [0.5, 1.05, 2.0, 2.5]
+    reports = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        cfg = _write_config(tmp_path, grid=grid, quantities=quantities, formats=[fmt], output_dir=str(out))
+        assert main(["scan", str(cfg)]) == 0
+        assert sorted(p.suffix for p in out.iterdir() if p.name != "manifest.json") == [f".{fmt}"] * 5
+        capsys.readouterr()
+        reports[fmt] = (main(["compare", str(out)]), capsys.readouterr().out)
+    rows = load_rows(tmp_path / "csv")
+    assert load_rows(tmp_path / "json") == rows
+    assert any(r.analytic_value is None for r in rows) and any(r.envelope is not None for r in rows)
+    assert reports["json"] == reports["csv"] and "higgs" in reports["csv"][1]
+    # with both formats written, the CSVs are read and the JSON files are not
+    cfg = _write_config(tmp_path, grid=grid, quantities=quantities, formats=["csv", "json"])
+    assert main(["scan", str(cfg)]) == 0
+    (tmp_path / "out" / "higgs.json").write_text("not json")
+    assert load_rows(tmp_path / "out") == rows
+
+
 def test_cli_compare_rejects_a_listed_file_that_is_missing(tmp_path, capsys):
     cfg = _write_config(tmp_path, quantities=["higgs", "mandel"])
     assert main(["scan", str(cfg)]) == 0

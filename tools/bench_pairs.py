@@ -13,8 +13,9 @@ the change's wins (pairs where this checkout reads better; ties count for
 neither) and two verdicts, with the direction and the bounds read from
 this checkout's ``BENCHMARK.json``:
 
-- claim: the change wins at least 9/10 of the pairs and its median is
-  better than the parent's by more than the parent's interquartile range;
+- claim: there are at least 10 pairs, the change wins at least 9/10 of
+  them and its median is better than the parent's by more than the
+  parent's interquartile range;
 - bound: the change's median is no worse than the parent's by more than
   the metric's bound (a relative change).  It reads ``unresolved`` when
   either side's interquartile range exceeds the bound relative to its
@@ -91,7 +92,7 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
         c_lo, c_hi = quartiles(c)
         wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         gain = sign * (c_med - p_med)
-        claim = 10 * wins >= 9 * len(p) and gain > p_hi - p_lo
+        claim = len(p) >= 10 and 10 * wins >= 9 * len(p) and gain > p_hi - p_lo
         spread = max((hi - lo) / abs(med) if med else 0.0 for med, lo, hi in ((p_med, p_lo, p_hi), (c_med, c_lo, c_hi)))
         if spread > entry["bound"] and not min(sign * x for x in c) > max(sign * x for x in p):
             bound = "unresolved"
