@@ -32,11 +32,11 @@ from .model import (
     FullBasis,
     ModelParams,
     SectorBasis,
+    _full_layout,
     _sector_labels,
     build_full_hamiltonian,
     build_sector_hamiltonian,
     parity_band,
-    parity_blocks,
     sector_bands,
 )
 from .theory import saddle_point
@@ -333,51 +333,36 @@ def ground_state_scan(params_template: ModelParams, g_values) -> list[GroundScan
 def solve_full(params: ModelParams, n_max: int, parity: int) -> FullSpectrum:
     """Certified spectrum of one parity block of the truncated model.
 
-    The rows are solved chain by chain (``_parity_layout`` order), which
-    makes a block that conserves n + s or n - s tridiagonal with exact
-    zeros between chains; amplitude rows come back in ``indices`` order.
+    The rows are solved chain by chain, in the order of the
+    ``model._full_layout`` table: along the n + s the block conserves when
+    g' = 0 < g, or the n - s when g = 0 < g', which makes it tridiagonal
+    with exact zeros between chains; in ascending order otherwise (with
+    both couplings present the block is irreducible, one chain, and with
+    neither it is diagonal).  Amplitude rows come back in ``indices``
+    order, a copy of the table's indices.
     """
-    idx, chains = _parity_layout(params, n_max, parity)
-    rows = idx[np.concatenate(chains)]
-    dec = eigen.eigh(build_full_hamiltonian(params, n_max)[np.ix_(rows, rows)])
-    return FullSpectrum(
-        parity=parity,
-        basis=FullBasis(n_atoms=params.n_atoms, n_max=n_max),
-        indices=idx,
-        energies=dec.eigenvalues,
-        amplitudes=dec.eigenvectors[np.argsort(rows)],
-        max_residual=dec.max_residual,
-        ortho_defect=dec.ortho_defect,
-    )
-
-
-def _parity_layout(params: ModelParams, n_max: int, parity: int):
-    """FullBasis indices of a parity block and its chains (positions): of
-    the n + s or n - s it conserves, else one chain of every row."""
     if parity not in (1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    idx = parity_blocks(params.n_atoms, n_max)[(1 - parity) // 2]
-    n, s = np.divmod(idx, params.n_atoms + 1)
-    # The rotating term conserves n + s and the counter-rotating one n - s,
-    # and each coupling along these chains is nonzero; with both couplings
-    # present the parity block is irreducible, one chain.
+    basis = FullBasis(n_atoms=params.n_atoms, n_max=n_max)
     if params.g_prime == 0:
-        conserved = n + s if params.g > 0 else idx
-    elif params.g == 0:
-        conserved = n - s
+        label = "n+s" if params.g > 0 else None
     else:
-        return idx, [np.arange(idx.size)]
-    return idx, _groups(conserved)
-
-
-def _groups(labels: np.ndarray) -> list[np.ndarray]:
-    """Positions of equal labels, each group ascending, groups ordered by
-    their first position."""
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    return sorted(groups, key=lambda group: group[0])
+        label = "n-s" if params.g == 0 else None
+    k = (1 - parity) // 2
+    layout = _full_layout(basis)
+    rows, inverse = layout.chains[k][label]
+    dec = eigen.eigh(build_full_hamiltonian(params, n_max)[rows])
+    return FullSpectrum(
+        parity=parity,
+        basis=basis,
+        indices=layout.blocks[k].copy(),
+        energies=dec.eigenvalues,
+        amplitudes=dec.eigenvectors[inverse],
+        max_residual=dec.max_residual,
+        ortho_defect=dec.ortho_defect,
+    )
 
 
 def _band_lowest(ab: np.ndarray, k: int) -> np.ndarray:

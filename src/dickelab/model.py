@@ -23,13 +23,17 @@ amplitudes unchanged).
 A sector is given by its tridiagonal bands (``sector_bands``, or dense
 ``build_sector_hamiltonian``), the truncated full basis by
 ``build_full_hamiltonian``, its ``parity_blocks`` and their bands
-(``parity_band``), both written from the same three diagonals of H.
+(``parity_band``), both written from the same three diagonals of H.  The
+structure of a truncation that no coupling changes is built once per (N,
+n_max) into the read-only ``_full_layout`` table; a call computes only
+the coupling values and gathers or scatters them through it.
 """
 
 import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,23 +229,84 @@ def build_sector_hamiltonian(params: ModelParams, p: int) -> np.ndarray:
     return _dense(diag.size, ((0, diag), (1, off)))
 
 
+class _FullLayout(NamedTuple):
+    """The coupling-independent structure of ``FullBasis(N, n_max)``; every
+    entry that depends on the parity is a pair (even, odd)."""
+
+    blocks: tuple  # ascending FullBasis indices of each parity block
+    n: np.ndarray  # photon numbers 0..n_max, a float column
+    root: np.ndarray  # sqrt(n + 1), a float column
+    spin_prev: np.ndarray  # spin_{s-1}, s = 0..N, with spin_{-1} = 0
+    band: tuple  # per offset N, N + 2: (source i, band row, band column) of each coupling i <-> i + offset
+    chains: tuple  # per label "n+s", "n-s" or None: (np.ix_ gather of the rows in chain order, its inverse)
+    lower: tuple  # a|n, s> = sqrt(n) |n-1, s>: (source position, position in the other block, sqrt(n))
+
+
+@functools.lru_cache(maxsize=32)
+def _full_layout(basis: FullBasis) -> _FullLayout:
+    """The ``_FullLayout`` table of ``basis``, read-only arrays kept for the
+    32 most recently used bases, so a scan at fixed N builds each
+    truncation's structure once.  An entry holds about 17 intp or float64
+    numbers (135 bytes) per basis state, 2.7 MB at N = 4 for ``auto_nmax``'s
+    largest band (n_max = 4106), so at most 87 MB for 32 such entries.
+
+    A block's chains, in the order ``ed.solve_full`` solves its rows: equal
+    labels n + s (or n - s) form a chain, ascending, and chains go by their
+    first position; under ``None`` the rows stay ascending (one chain, or
+    each row its own).  The a pairs join each state with n >= 1 of a block
+    to |n - 1, s>, N + 1 flat indices lower, in the other one."""
+    N, dim = basis.n_atoms, basis.dim
+    n, s = np.divmod(np.arange(dim), N + 1)
+    odd = (n + s) % 2 == 1
+    blocks = (np.flatnonzero(~odd), np.flatnonzero(odd))
+    pos = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1  # position of each index in its block
+    band, chains, lower = [], [], []
+    for parity_odd, idx in zip((False, True), blocks):
+        inside = odd == parity_odd
+        pattern = []
+        for offset in (N, N + 2):
+            i = np.flatnonzero(inside[: max(dim - offset, 0)] & inside[offset:])
+            pattern.append((i, pos[i + offset] - pos[i], pos[i]))
+        band.append(tuple(pattern))
+        orders = {None: np.arange(idx.size)}
+        for label, values in (("n+s", n[idx] + s[idx]), ("n-s", n[idx] - s[idx])):
+            _, first, group = np.unique(values, return_index=True, return_inverse=True)
+            orders[label] = np.argsort(first[group], kind="stable")
+        rows = {label: idx[order] for label, order in orders.items()}
+        chains.append({label: (np.ix_(rows[label], rows[label]), np.argsort(order)) for label, order in orders.items()})
+        src = np.flatnonzero(n[idx] >= 1)
+        lower.append((src, pos[idx[src] - (N + 1)], np.sqrt(n[idx[src]])))
+    photons = np.arange(basis.n_max + 1.0)[:, None]
+    layout = _FullLayout(
+        blocks, photons, np.sqrt(photons + 1), np.roll(_sector_labels(N)[2], 1), tuple(band), tuple(chains), tuple(lower)
+    )
+    arrays = list(layout)
+    while arrays:
+        item = arrays.pop()
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+        else:
+            arrays.extend(item.values() if isinstance(item, dict) else item)
+    return layout
+
+
 def _full_diagonals(params: ModelParams, n_max: int):
     """Yield ``(offset, values)``, H[i + offset, i] = H[i, i + offset] =
     values[i] for i < dim - offset (H is zero elsewhere) on ``FullBasis(N,
-    n_max)``, the ``_sector_labels`` broadcast over the photon layers n:
-    ``_diagonal`` at 0, and in the order of ``sector_bands`` ((g/sqrt(N))
-    spin_{s-1}) sqrt(n+1) at N for (n, s) <-> (n+1, s-1), ((g'/sqrt(N))
-    spin_s) sqrt(n+1) at N + 2 for (n, s) <-> (n+1, s+1).  No coupling
-    leaves the truncation or is added: where s -+ 1 would leave 0..N the
-    spin factor is zero (spin_{-1} = spin_N = 0), every other such row has
-    n < n_max; so with g' = 0, H commutes exactly with n + s, and each
-    sector's entries are its ``sector_bands`` bit for bit."""
+    n_max)``, the ``_sector_labels`` broadcast over the photon layers n of
+    its ``_full_layout``: ``_diagonal`` at 0, and in the order of
+    ``sector_bands`` ((g/sqrt(N)) spin_{s-1}) sqrt(n+1) at N for (n, s) <->
+    (n+1, s-1), ((g'/sqrt(N)) spin_s) sqrt(n+1) at N + 2 for (n, s) <->
+    (n+1, s+1).  No coupling leaves the truncation or is added: where s -+ 1
+    would leave 0..N the spin factor is zero (spin_{-1} = spin_N = 0), every
+    other such row has n < n_max; so with g' = 0, H commutes exactly with
+    n + s, and each sector's entries are its ``sector_bands`` bit for bit."""
     N = params.n_atoms
     _, m, spin = _sector_labels(N)
-    n = np.arange(n_max + 1.0)[:, None]
-    yield 0, _diagonal(params, n, m).ravel()
-    for offset, coupling, factor in ((N, params.g, np.roll(spin, 1)), (N + 2, params.g_prime, spin)):
-        values = ((coupling / math.sqrt(N)) * factor) * np.sqrt(n + 1)
+    layout = _full_layout(FullBasis(n_atoms=N, n_max=n_max))
+    yield 0, _diagonal(params, layout.n, m).ravel()
+    for offset, coupling, factor in ((N, params.g, layout.spin_prev), (N + 2, params.g_prime, spin)):
+        values = ((coupling / math.sqrt(N)) * factor) * layout.root
         yield offset, values.ravel()[: max(values.size - offset, 0)]
 
 
@@ -251,27 +316,28 @@ def build_full_hamiltonian(params: ModelParams, n_max: int) -> np.ndarray:
 
 
 def parity_blocks(n_atoms: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Partition FullBasis indices into (even, odd) parity index arrays."""
-    n, s = np.divmod(np.arange(FullBasis(n_atoms=n_atoms, n_max=n_max).dim), n_atoms + 1)
-    odd = (n + s) % 2 == 1
-    return np.nonzero(~odd)[0], np.nonzero(odd)[0]
+    """Partition FullBasis indices into (even, odd) parity index arrays
+    (copies of the ``_full_layout`` table's)."""
+    even, odd = _full_layout(FullBasis(n_atoms=n_atoms, n_max=n_max)).blocks
+    return even.copy(), odd.copy()
 
 
 def parity_band(params: ModelParams, n_max: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     """``(idx, ab)``: the ascending FullBasis indices of the parity block
-    (+1 even, -1 odd) and its LAPACK lower band storage, ``ab[d, k] =
-    H[idx[k + d], idx[k]]`` bit for bit.  Couplings join i to i + N or
-    i + N + 2, and a block holds at most (N + 3) // 2 of any N + 2
+    (+1 even, -1 odd), a copy of the ``_full_layout`` table's, and its
+    LAPACK lower band storage, ``ab[d, k] = H[idx[k + d], idx[k]]`` bit for
+    bit, gathered from the diagonal of H and scattered from its two
+    couplings through the table's band pattern.  Couplings join i to i + N
+    or i + N + 2, and a block holds at most (N + 3) // 2 of any N + 2
     consecutive indices, so kd = (N + 3) // 2 sub-diagonals hold them all."""
     if parity not in (1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
-    idx = parity_blocks(params.n_atoms, n_max)[(1 - parity) // 2]
-    pos = np.full((params.n_atoms + 1) * (n_max + 1), -1)  # block position of each index, or -1
-    pos[idx] = np.arange(idx.size)
+    k = (1 - parity) // 2
+    layout = _full_layout(FullBasis(n_atoms=params.n_atoms, n_max=n_max))
+    idx = layout.blocks[k]
     ab = np.zeros(((params.n_atoms + 3) // 2 + 1, idx.size), order="F")
     diagonals = _full_diagonals(params, n_max)
     ab[0] = next(diagonals)[1][idx]  # offset 0, the first one yielded
-    for offset, values in diagonals:
-        i = np.flatnonzero((pos[: values.size] >= 0) & (pos[offset:] >= 0))  # i and i + offset in the block
-        ab[pos[i + offset] - pos[i], pos[i]] = values[i]
-    return idx, ab
+    for (_, values), (source, row, column) in zip(diagonals, layout.band[k]):
+        ab[row, column] = values[source]
+    return idx.copy(), ab

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ed import FullSpectrum, SectorSpectrum
+from .model import _full_layout
 
 __all__ = [
     "SpectralLine",
@@ -163,7 +164,9 @@ def anomalous_weight(full_even: FullSpectrum, full_odd: FullSpectrum) -> float:
     correlator <G|a a|G> resolved over eigenstates.  It vanishes
     identically when g' = 0: a.a lowers the conserved excitation number
     by two, and sector-supported eigenvectors make every product an
-    exact zero.
+    exact zero.  a|G> and a|m> are scattered, sqrt(n) times each
+    amplitude, through the a pairs of the blocks' ``model._full_layout``
+    table.
     """
     if full_even.parity != 1 or full_odd.parity != -1:
         raise ValueError("pass the even block first and the odd block second")
@@ -173,13 +176,18 @@ def anomalous_weight(full_even: FullSpectrum, full_odd: FullSpectrum) -> float:
         block_g, block_m = full_even, full_odd
     else:
         block_g, block_m = full_odd, full_even
-    # a|n, s> = sqrt(n) |n - 1, s>, and |n - 1, s> sits N + 1 flat indices lower
-    idx_g, idx_m, stride = block_g.indices, block_m.indices, full_even.basis.n_atoms + 1
-    a_gm = np.where(idx_m[:, None] == idx_g - stride, np.sqrt(idx_g // stride), 0.0)  # a: G block -> m block
-    a_mg = np.where(idx_g[:, None] == idx_m - stride, np.sqrt(idx_m // stride), 0.0)  # a: m block -> G block
+    # a|n, s> = sqrt(n) |n - 1, s>, scattered through the table's pairs of each block
+    lower = _full_layout(full_even.basis).lower
+    k = 0 if block_g is full_even else 1
+    src_g, dst_g, root_g = lower[k]  # a: G block -> m block
+    src_m, dst_m, root_m = lower[1 - k]  # a: m block -> G block
     ground = block_g.amplitudes[:, 0]
-    forward = block_m.amplitudes.T @ (a_gm @ ground)  # <m|a|G>
-    backward = (a_mg @ block_m.amplitudes).T @ ground  # <G|a|m>
+    a_ground = np.zeros(block_m.indices.size)
+    a_ground[dst_g] = root_g * ground[src_g]
+    a_states = np.zeros((block_g.indices.size, block_m.amplitudes.shape[1]))
+    a_states[dst_m] = root_m[:, None] * block_m.amplitudes[src_m]
+    forward = block_m.amplitudes.T @ a_ground  # <m|a|G>
+    backward = a_states.T @ ground  # <G|a|m>
     return float(abs(np.dot(backward, forward)))
 
 

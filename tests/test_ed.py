@@ -577,9 +577,204 @@ def test_groups_are_ordered_by_first_position():
     # n - s on the even block of N = 2, n_max = 3: labels 0, -2, 0, 2, 0, 2,
     # so sorting by label would put the group of -2 first
     even, _ = model.parity_blocks(2, 3)
-    n, s = np.divmod(even, 3)
-    groups = ed._groups(n - s)
-    assert [g.tolist() for g in groups] == [[0, 2, 4], [1], [3, 5]]
+    (rows, columns), inverse = model._full_layout(FullBasis(n_atoms=2, n_max=3)).chains[0]["n-s"]
+    assert np.array_equal(rows.ravel(), even[[0, 2, 4, 1, 3, 5]])
+    assert np.array_equal(columns.ravel(), rows.ravel())
+    assert np.array_equal(inverse, [0, 3, 1, 4, 2, 5])
+
+
+def _reference_parity_blocks(n_atoms, n_max):
+    """``model.parity_blocks`` as it was before the ``_full_layout`` table:
+    the index structure below is rebuilt on every call."""
+    n, s = np.divmod(np.arange(FullBasis(n_atoms=n_atoms, n_max=n_max).dim), n_atoms + 1)
+    odd = (n + s) % 2 == 1
+    return np.nonzero(~odd)[0], np.nonzero(odd)[0]
+
+
+def _reference_full_diagonals(params, n_max):
+    """``model._full_diagonals`` with its own photon column and ``np.roll``."""
+    N = params.n_atoms
+    _, m, spin = model._sector_labels(N)
+    n = np.arange(n_max + 1.0)[:, None]
+    yield 0, model._diagonal(params, n, m).ravel()
+    for offset, coupling, factor in ((N, params.g, np.roll(spin, 1)), (N + 2, params.g_prime, spin)):
+        values = ((coupling / math.sqrt(N)) * factor) * np.sqrt(n + 1)
+        yield offset, values.ravel()[: max(values.size - offset, 0)]
+
+
+def _reference_band_pattern(n_atoms, n_max, parity):
+    """The block's indices and, per offset N and N + 2, ``(i, band row, band
+    column)`` of each coupling i <-> i + offset inside it, from a ``pos`` map."""
+    idx = _reference_parity_blocks(n_atoms, n_max)[(1 - parity) // 2]
+    dim = (n_atoms + 1) * (n_max + 1)
+    pos = np.full(dim, -1)  # block position of each index, or -1
+    pos[idx] = np.arange(idx.size)
+    pattern = []
+    for offset in (n_atoms, n_atoms + 2):
+        size = max(dim - offset, 0)
+        i = np.flatnonzero((pos[:size] >= 0) & (pos[offset:] >= 0))
+        pattern.append((i, pos[i + offset] - pos[i], pos[i]))
+    return idx, pattern
+
+
+def _reference_parity_band(params, n_max, parity):
+    idx, pattern = _reference_band_pattern(params.n_atoms, n_max, parity)
+    ab = np.zeros(((params.n_atoms + 3) // 2 + 1, idx.size), order="F")
+    diagonals = _reference_full_diagonals(params, n_max)
+    ab[0] = next(diagonals)[1][idx]
+    for (_, values), (i, row, column) in zip(diagonals, pattern):
+        ab[row, column] = values[i]
+    return idx, ab
+
+
+def _reference_groups(labels):
+    """Positions of equal labels, each group ascending, groups ordered by
+    their first position."""
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return sorted(groups, key=lambda group: group[0])
+
+
+def _reference_chain_rows(params, n_max, parity):
+    """The block's rows in the order ``solve_full`` solves them: chains of
+    the n + s or n - s it conserves, else one chain of every row."""
+    idx = _reference_parity_blocks(params.n_atoms, n_max)[(1 - parity) // 2]
+    n, s = np.divmod(idx, params.n_atoms + 1)
+    if params.g_prime == 0:
+        conserved = n + s if params.g > 0 else idx
+    elif params.g == 0:
+        conserved = n - s
+    else:
+        return idx
+    return idx[np.concatenate(_reference_groups(conserved))]
+
+
+def _reference_solve_full(params, n_max, parity):
+    rows = _reference_chain_rows(params, n_max, parity)
+    h = model._dense(FullBasis(n_atoms=params.n_atoms, n_max=n_max).dim, _reference_full_diagonals(params, n_max))
+    dec = eigh(h[np.ix_(rows, rows)])
+    return np.sort(rows), dec.eigenvalues, dec.eigenvectors[np.argsort(rows)], dec.max_residual, dec.ortho_defect
+
+
+def _reference_shift(idx_from, idx_to, stride):
+    """a|n, s> = sqrt(n) |n - 1, s> from the ``idx_from`` block to the
+    ``idx_to`` block, as a dense matrix."""
+    return np.where(idx_to[:, None] == idx_from - stride, np.sqrt(idx_from // stride), 0.0)
+
+
+def _reference_anomalous_weight(even, odd, stride):
+    """``anomalous_weight`` from ``(indices, energies, amplitudes)`` of each
+    block, through two dense shift matrices."""
+    (idx_g, _, v_g), (idx_m, _, v_m) = (even, odd) if even[1][0] <= odd[1][0] else (odd, even)
+    ground = v_g[:, 0]
+    forward = v_m.T @ (_reference_shift(idx_g, idx_m, stride) @ ground)
+    backward = (_reference_shift(idx_m, idx_g, stride) @ v_m).T @ ground
+    return float(abs(np.dot(backward, forward)))
+
+
+def _same_bits(got, expected):
+    return got.dtype == expected.dtype and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+# g' = 0 < g, g = g' = 0, g = 0 < g' and both > 0: the four chain layouts of solve_full
+_LAYOUT_COUPLINGS = [
+    {"g": 1.3, "lambda_z": 0.2, "u": -0.1},
+    {"omega_b": 1.3},
+    {"g_prime": 0.7},
+    {"g": 1.3, "g_prime": 0.4, "lambda_z": 0.2, "u": -0.1},
+]
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 26])
+def test_full_layout_equals_the_per_call_construction(n_atoms, n_max):
+    layout = model._full_layout(FullBasis(n_atoms=n_atoms, n_max=n_max))
+    spin = model._sector_labels(n_atoms)[2]
+    photons = np.arange(n_max + 1.0)[:, None]
+    for got, expected in ((layout.n, photons), (layout.root, np.sqrt(photons + 1)), (layout.spin_prev, np.roll(spin, 1))):
+        assert _same_bits(got, expected)
+    blocks = _reference_parity_blocks(n_atoms, n_max)
+    assert all(_same_bits(got, expected) for got, expected in zip(layout.blocks, blocks))
+    assert all(_same_bits(got, expected) for got, expected in zip(model.parity_blocks(n_atoms, n_max), blocks))
+    stride = n_atoms + 1
+    for parity in (1, -1):
+        k = (1 - parity) // 2
+        idx, pattern = _reference_band_pattern(n_atoms, n_max, parity)
+        for got, expected in zip(layout.band[k], pattern):
+            assert all(_same_bits(g, e) for g, e in zip(got, expected))
+        # the a pairs are the nonzeros of the dense shift matrix, by source
+        src, dst = np.nonzero(_reference_shift(idx, blocks[1 - k], stride).T)
+        assert all(_same_bits(g, e) for g, e in zip(layout.lower[k], (src, dst, np.sqrt(idx[src] // stride))))
+        for couplings in _LAYOUT_COUPLINGS:
+            params = ModelParams(n_atoms=n_atoms, **couplings)
+            label = ("n+s" if params.g > 0 else None) if params.g_prime == 0 else ("n-s" if params.g == 0 else None)
+            (rows, columns), inverse = layout.chains[k][label]
+            expected = _reference_chain_rows(params, n_max, parity)
+            assert _same_bits(rows.ravel(), expected) and _same_bits(columns.ravel(), expected)
+            assert _same_bits(inverse, np.argsort(expected))
+            for got, want in zip(model.parity_band(params, n_max, parity), _reference_parity_band(params, n_max, parity)):
+                assert _same_bits(got, want) and got.flags.f_contiguous == want.flags.f_contiguous
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 6])
+def test_full_basis_results_equal_the_per_call_construction(n_atoms, monkeypatch):
+    for couplings in _LAYOUT_COUPLINGS:
+        params = ModelParams(n_atoms=n_atoms, **couplings)
+        for n_max in (1, 2, 7, 26):
+            got = [solve_full(params, n_max, parity) for parity in (1, -1)]
+            expected = [_reference_solve_full(params, n_max, parity) for parity in (1, -1)]
+            for spec, ref in zip(got, expected):
+                assert all(_same_bits(g, e) for g, e in zip((spec.indices, spec.energies, spec.amplitudes), ref[:3]))
+                assert (spec.max_residual, spec.ortho_defect) == ref[3:]
+            weight = _reference_anomalous_weight(*(ref[:3] for ref in expected), n_atoms + 1)
+            assert anomalous_weight(*got).hex() == weight.hex()
+        found = [auto_nmax(params, parity) for parity in (1, -1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(ed, "parity_band", _reference_parity_band)
+            assert found == [auto_nmax(params, parity) for parity in (1, -1)]
+
+
+def test_callers_get_arrays_that_share_nothing_with_the_table():
+    params = ModelParams(g=1.3, g_prime=0.4, n_atoms=3)
+
+    def received():
+        return [*model.parity_blocks(3, 7), *model.parity_band(params, 7, 1), solve_full(params, 7, -1).indices]
+
+    expected = [array.copy() for array in received()]
+    for array in received():
+        array[...] = -7
+    assert all(_same_bits(got, want) for got, want in zip(received(), expected))
+    arrays = list(model._full_layout(FullBasis(n_atoms=3, n_max=7)))
+    while arrays:
+        item = arrays.pop()
+        if isinstance(item, np.ndarray):
+            assert not item.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                item[...] = 0
+        else:
+            arrays.extend(item.values() if isinstance(item, dict) else item)
+
+
+def test_full_layout_table_stays_bounded_and_evicts_without_effect():
+    params = ModelParams(g=1.1, g_prime=0.2, n_atoms=2)
+    maxsize = model._full_layout.cache_info().maxsize
+    assert maxsize == 32
+    model._full_layout.cache_clear()
+    sweep = range(1, maxsize + 9)
+
+    def results():
+        found = []
+        for n_max in sweep:
+            blocks = [solve_full(params, n_max, parity) for parity in (1, -1)]
+            found.append([anomalous_weight(*blocks).hex(), *(b.amplitudes.tobytes() for b in blocks)])
+            found.append(model.parity_band(params, n_max, -1)[1].tobytes())
+            assert model._full_layout.cache_info().currsize <= maxsize
+        return found
+
+    first = results()
+    assert model._full_layout.cache_info().currsize == maxsize
+    assert results() == first  # every table rebuilt after eviction
+    assert model._full_layout.cache_info().hits > 0
 
 
 def test_certificates_travel_with_spectra():
