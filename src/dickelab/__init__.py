@@ -18,7 +18,7 @@ from .model import (
     build_sector_hamiltonian,
     parity_blocks,
 )
-from .eigen import EigenDecomposition, EigenError, eigh, orthonormality_defect, residual
+from .eigen import EigenDecomposition, EigenError, eigh
 from .ed import (
     FullSpectrum,
     GroundScanPoint,

@@ -19,7 +19,8 @@ output against the whole matrix and must stay below the fixed bounds
 fails.  The scale max|m_ij| and the finiteness check come from one
 reduction over the matrix, whatever its form; for a tridiagonal matrix
 the residual comes from its bands in O(n^2), otherwise from the dense
-product.
+product.  The certificates are computed once, inside ``eigh``, and travel
+with its result as ``max_residual`` and ``ortho_defect``.
 """
 
 import math
@@ -32,8 +33,6 @@ __all__ = [
     "EigenDecomposition",
     "EigenError",
     "eigh",
-    "residual",
-    "orthonormality_defect",
 ]
 
 SYMMETRY_RTOL = 1e-12
@@ -80,14 +79,6 @@ def _bands(m: np.ndarray):
     if np.count_nonzero(m) != np.count_nonzero(d) + 2 * np.count_nonzero(e):
         return None
     return d, e
-
-
-def _real(m) -> np.ndarray:
-    """``m`` as a float array; complex input, which a cast would make real, raises."""
-    m = np.asarray(m)
-    if m.dtype.kind == "c":
-        raise ValueError("expected a real matrix, got complex input")
-    return m.astype(float, copy=False)
 
 
 def _check_symmetric(m: np.ndarray):
@@ -173,11 +164,16 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
         ``RESIDUAL_TOL`` * max|m_ij| or the orthonormality defect exceeds
         ``ORTHO_TOL``.
     """
-    m = _real(m)
+    m = np.asarray(m)
+    if m.dtype.kind == "c":  # a cast to float would drop the imaginary part
+        raise ValueError("expected a real matrix, got complex input")
+    m = m.astype(float, copy=False)
     scale, bands = _check_symmetric(m)
     vals, vecs = _solve(m, bands)
     max_res = _residual_arrays(m, bands, vals, vecs)
-    defect = _ortho_defect_array(vecs)
+    gram = vecs.T @ vecs
+    gram.ravel()[:: gram.shape[0] + 1] -= 1.0  # V'V - I
+    defect = float(np.abs(gram).max(initial=0.0))
     if max_res > RESIDUAL_TOL * max(scale, 1e-300):
         raise EigenError(f"residual {max_res:.3e} exceeds {RESIDUAL_TOL:.1e} * scale {scale:.3e}")
     if defect > ORTHO_TOL:
@@ -203,24 +199,3 @@ def _residual_arrays(m, bands, vals, vecs) -> float:
     # sqrt is monotone and correctly rounded: the root of the largest sum
     # is the largest root
     return math.sqrt((r * r).sum(axis=0).max())
-
-
-def _ortho_defect_array(vecs) -> float:
-    if vecs.size == 0:
-        return 0.0
-    gram = vecs.T @ vecs
-    gram.ravel()[:: gram.shape[0] + 1] -= 1.0  # V'V - I
-    return float(np.abs(gram).max())
-
-
-def residual(m: np.ndarray, d: EigenDecomposition) -> float:
-    """Recompute max_i ||H v_i - lambda_i v_i||_2 independently of eigh."""
-    m = _real(m)
-    if m.shape != d.eigenvectors.shape:
-        raise ValueError(f"dimension mismatch: matrix {m.shape} vs eigenvectors {d.eigenvectors.shape}")
-    return _residual_arrays(m, _bands(m), d.eigenvalues, d.eigenvectors)
-
-
-def orthonormality_defect(d: EigenDecomposition) -> float:
-    """Recompute ||V'V - I||_max of a decomposition."""
-    return _ortho_defect_array(d.eigenvectors)

@@ -138,8 +138,10 @@ class FullBasis:
     """Truncated photon x symmetric-spin product basis.
 
     State (n, s) with n = 0..n_max photons and s = 0..N atomic
-    excitations sits at flat index ``n * (N + 1) + s``.  Its parity is
-    (-1)^(n+s); the two parity values partition the basis.
+    excitations sits at flat index ``n * (N + 1) + s``, so a|n, s> =
+    sqrt(n) |n - 1, s> moves an amplitude N + 1 indices down.  Its parity
+    is (-1)^(n+s); the two parity values partition the basis, and a maps
+    each block into the other.
     """
 
     n_atoms: int
@@ -239,28 +241,26 @@ class _FullLayout(NamedTuple):
     spin_prev: np.ndarray  # spin_{s-1}, s = 0..N, with spin_{-1} = 0
     band: tuple  # per offset N, N + 2: (source i, band row, band column) of each coupling i <-> i + offset
     chains: tuple  # per label "n+s", "n-s" or None: (np.ix_ gather of the rows in chain order, its inverse)
-    lower: tuple  # a|n, s> = sqrt(n) |n-1, s>: (source position, position in the other block, sqrt(n))
 
 
 @functools.lru_cache(maxsize=32)
 def _full_layout(basis: FullBasis) -> _FullLayout:
     """The ``_FullLayout`` table of ``basis``, read-only arrays kept for the
     32 most recently used bases, so a scan at fixed N builds each
-    truncation's structure once.  An entry holds about 17 intp or float64
-    numbers (135 bytes) per basis state, 2.7 MB at N = 4 for ``auto_nmax``'s
-    largest band (n_max = 4106), so at most 87 MB for 32 such entries.
+    truncation's structure once.  An entry holds about 13 intp or float64
+    numbers (107 bytes) per basis state, 2.2 MB at N = 4 for ``auto_nmax``'s
+    largest band (n_max = 4106), so at most 70 MB for 32 such entries.
 
     A block's chains, in the order ``ed.solve_full`` solves its rows: equal
     labels n + s (or n - s) form a chain, ascending, and chains go by their
     first position; under ``None`` the rows stay ascending (one chain, or
-    each row its own).  The a pairs join each state with n >= 1 of a block
-    to |n - 1, s>, N + 1 flat indices lower, in the other one."""
+    each row its own)."""
     N, dim = basis.n_atoms, basis.dim
     n, s = np.divmod(np.arange(dim), N + 1)
     odd = (n + s) % 2 == 1
     blocks = (np.flatnonzero(~odd), np.flatnonzero(odd))
     pos = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1  # position of each index in its block
-    band, chains, lower = [], [], []
+    band, chains = [], []
     for parity_odd, idx in zip((False, True), blocks):
         inside = odd == parity_odd
         pattern = []
@@ -274,11 +274,9 @@ def _full_layout(basis: FullBasis) -> _FullLayout:
             orders[label] = np.argsort(first[group], kind="stable")
         rows = {label: idx[order] for label, order in orders.items()}
         chains.append({label: (np.ix_(rows[label], rows[label]), np.argsort(order)) for label, order in orders.items()})
-        src = np.flatnonzero(n[idx] >= 1)
-        lower.append((src, pos[idx[src] - (N + 1)], np.sqrt(n[idx[src]])))
     photons = np.arange(basis.n_max + 1.0)[:, None]
     layout = _FullLayout(
-        blocks, photons, np.sqrt(photons + 1), np.roll(_sector_labels(N)[2], 1), tuple(band), tuple(chains), tuple(lower)
+        blocks, photons, np.sqrt(photons + 1), np.roll(_sector_labels(N)[2], 1), tuple(band), tuple(chains)
     )
     arrays = list(layout)
     while arrays:

@@ -16,6 +16,9 @@ when their gap is below 1e-9 times max(1, max |E|), and any other gap,
 NaN included, starts a new cluster.  A cluster of one line keeps that
 line's energy and weight; a larger one takes the mean energy and the
 summed weight of its lines.
+
+With g' > 0 only parity survives: ``anomalous_weight`` resolves <G|a a|G>
+over the parity blocks, applying a through the ``FullBasis`` flat layout.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ed import FullSpectrum, SectorSpectrum
-from .model import _full_layout
 
 __all__ = [
     "SpectralLine",
@@ -164,9 +166,7 @@ def anomalous_weight(full_even: FullSpectrum, full_odd: FullSpectrum) -> float:
     correlator <G|a a|G> resolved over eigenstates.  It vanishes
     identically when g' = 0: a.a lowers the conserved excitation number
     by two, and sector-supported eigenvectors make every product an
-    exact zero.  a|G> and a|m> are scattered, sqrt(n) times each
-    amplitude, through the a pairs of the blocks' ``model._full_layout``
-    table.
+    exact zero.  a is applied through the FullBasis layout (``_lower``).
     """
     if full_even.parity != 1 or full_odd.parity != -1:
         raise ValueError("pass the even block first and the odd block second")
@@ -176,19 +176,22 @@ def anomalous_weight(full_even: FullSpectrum, full_odd: FullSpectrum) -> float:
         block_g, block_m = full_even, full_odd
     else:
         block_g, block_m = full_odd, full_even
-    # a|n, s> = sqrt(n) |n - 1, s>, scattered through the table's pairs of each block
-    lower = _full_layout(full_even.basis).lower
-    k = 0 if block_g is full_even else 1
-    src_g, dst_g, root_g = lower[k]  # a: G block -> m block
-    src_m, dst_m, root_m = lower[1 - k]  # a: m block -> G block
     ground = block_g.amplitudes[:, 0]
-    a_ground = np.zeros(block_m.indices.size)
-    a_ground[dst_g] = root_g * ground[src_g]
-    a_states = np.zeros((block_g.indices.size, block_m.amplitudes.shape[1]))
-    a_states[dst_m] = root_m[:, None] * block_m.amplitudes[src_m]
-    forward = block_m.amplitudes.T @ a_ground  # <m|a|G>
-    backward = a_states.T @ ground  # <G|a|m>
+    forward = block_m.amplitudes.T @ _lower(block_g, ground, block_m)  # <m|a|G>
+    backward = _lower(block_m, block_m.amplitudes, block_g).T @ ground  # <G|a|m>
     return float(abs(np.dot(backward, forward)))
+
+
+def _lower(source: FullSpectrum, vectors: np.ndarray, target: FullSpectrum) -> np.ndarray:
+    """a|n, s> = sqrt(n) |n - 1, s> on ``vectors`` (rows on ``source.indices``),
+    in rows on ``target.indices``.  |n, s> sits at flat index n (N + 1) + s,
+    so index i reads sqrt(n) times the amplitude at i + N + 1, zero past the
+    basis (n_max + 1 photons)."""
+    stride = source.basis.n_atoms + 1
+    root = np.sqrt(source.indices // stride)  # sqrt(n)
+    flat = np.zeros((source.basis.dim + stride, *vectors.shape[1:]))
+    flat[source.indices] = (root if vectors.ndim == 1 else root[:, None]) * vectors
+    return flat[target.indices + stride]
 
 
 def evaluate_time_correlation(cs: CorrelationSpectrum, tau_values) -> list[float]:

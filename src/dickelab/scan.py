@@ -174,8 +174,9 @@ def _choices(errors: list[str], value, key: str, valid: tuple[str, ...]) -> tupl
 def parse_config(source) -> ScanConfig:
     """Build a ScanConfig from a JSON file path or an already-loaded dict.
 
-    The schema-1 key ``workers`` is accepted and ignored; ``tolerances.eigen``
-    is an error, as the residual bound is fixed (``eigen.RESIDUAL_TOL``).
+    The schema-1 key ``workers`` is an error, as ``run_scan`` has no thread
+    pool for it to size; so is ``tolerances.eigen``, as the residual bound is
+    fixed (``eigen.RESIDUAL_TOL``).
 
     Raises
     ------
@@ -195,10 +196,11 @@ def parse_config(source) -> ScanConfig:
     errors: list[str] = []
     known = {
         "schema_version", "model", "grid", "quantities", "output_dir",
-        "formats", "gprime_over_g", "tolerances", "workers",
+        "formats", "gprime_over_g", "tolerances",
     }
     for key in sorted(set(raw) - known):
-        errors.append(f"unknown key '{key}'")
+        errors.append(f"'workers' sized the removed scan thread pool and is no longer accepted, got {raw[key]!r}"
+                      if key == "workers" else f"unknown key '{key}'")
     if raw.get("schema_version") != SCHEMA_VERSION:
         errors.append(f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}")
 

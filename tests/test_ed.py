@@ -696,15 +696,11 @@ def test_full_layout_equals_the_per_call_construction(n_atoms, n_max):
     blocks = _reference_parity_blocks(n_atoms, n_max)
     assert all(_same_bits(got, expected) for got, expected in zip(layout.blocks, blocks))
     assert all(_same_bits(got, expected) for got, expected in zip(model.parity_blocks(n_atoms, n_max), blocks))
-    stride = n_atoms + 1
     for parity in (1, -1):
         k = (1 - parity) // 2
-        idx, pattern = _reference_band_pattern(n_atoms, n_max, parity)
+        _, pattern = _reference_band_pattern(n_atoms, n_max, parity)
         for got, expected in zip(layout.band[k], pattern):
             assert all(_same_bits(g, e) for g, e in zip(got, expected))
-        # the a pairs are the nonzeros of the dense shift matrix, by source
-        src, dst = np.nonzero(_reference_shift(idx, blocks[1 - k], stride).T)
-        assert all(_same_bits(g, e) for g, e in zip(layout.lower[k], (src, dst, np.sqrt(idx[src] // stride))))
         for couplings in _LAYOUT_COUPLINGS:
             params = ModelParams(n_atoms=n_atoms, **couplings)
             label = ("n+s" if params.g > 0 else None) if params.g_prime == 0 else ("n-s" if params.g == 0 else None)
@@ -732,6 +728,21 @@ def test_full_basis_results_equal_the_per_call_construction(n_atoms, monkeypatch
         with monkeypatch.context() as patch:
             patch.setattr(ed, "parity_band", _reference_parity_band)
             assert found == [auto_nmax(params, parity) for parity in (1, -1)]
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 6])
+def test_anomalous_weight_equals_the_dense_shift_reference_across_couplings(n_atoms):
+    # the truncations auto_nmax picks, where the channel is open (g' > 0)
+    for fields in ({}, {"omega_a": 1.3, "omega_b": 0.7}):
+        template = ModelParams(n_atoms=n_atoms, **fields)
+        for ratio in (0.5, 1.5, 3.0):
+            g = ratio * critical_coupling(template)
+            for gp_over_g in (0.01, 0.3):
+                params = replace(template, g=g, g_prime=gp_over_g * g)
+                n_max = max(auto_nmax(params, parity) for parity in (1, -1))
+                blocks = [solve_full(params, n_max, parity) for parity in (1, -1)]
+                weight = _reference_anomalous_weight(*((b.indices, b.energies, b.amplitudes) for b in blocks), n_atoms + 1)
+                assert anomalous_weight(*blocks).hex() == weight.hex(), (fields, ratio, gp_over_g, n_max)
 
 
 def test_callers_get_arrays_that_share_nothing_with_the_table():

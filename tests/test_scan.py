@@ -153,9 +153,15 @@ def test_parse_config_drops_repeated_choices(tmp_path):
     assert config.formats == ("json", "csv")
 
 
-def test_parse_config_accepts_and_ignores_workers(tmp_path):
-    config = parse_config(_config_dict(tmp_path, workers=3))
-    assert config == parse_config(_config_dict(tmp_path))
+def test_parse_config_rejects_workers(tmp_path, capsys):
+    # the key sized the thread pool that run_scan no longer has
+    for value in (3, 1):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_config_dict(tmp_path, workers=value))
+        assert err.value.errors == [f"'workers' sized the removed scan thread pool and is no longer accepted, got {value!r}"]
+        assert main(["scan", str(_write_config(tmp_path, workers=value))]) == 2
+        assert not (tmp_path / "out").exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_eigen_tolerance_is_fixed(tmp_path, capsys):

@@ -31,6 +31,7 @@ then no file is written; else 0, whatever the verdicts.
 """
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -38,6 +39,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The benchmark's own quartile rule, from this checkout's bench/run.py
+_RUN_SPEC = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+_bench_run = importlib.util.module_from_spec(_RUN_SPEC)
+_RUN_SPEC.loader.exec_module(_bench_run)
+quartiles = _bench_run.quartiles
 
 
 def run_once(root: Path, workload: str, seed: int) -> tuple[str, dict, dict]:
@@ -64,14 +71,6 @@ def run_once(root: Path, workload: str, seed: int) -> tuple[str, dict, dict]:
         elif line.startswith("machine: "):
             machines[name] = json.loads(line[len("machine: "):])
     return revision, machines, {name: entry["value"] for name, entry in result["metrics"].items()}
-
-
-def quartiles(values):
-    """Lower and upper quartile, as ``bench/run.py`` computes them."""
-    if len(values) < 2:
-        return values[0], values[0]
-    q = statistics.quantiles(values, n=4)
-    return q[0], q[2]
 
 
 def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[dict]:
