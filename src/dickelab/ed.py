@@ -9,11 +9,12 @@ gap E^{P*+1}_1 - E^{P*}_0.
 
 Every sector Hamiltonian is tridiagonal.  P* is chosen from the sectors'
 lowest eigenvalues, found by LAPACK Sturm-count bisection (``dstebz``) on
-the ``(diag, offdiag)`` bands.  A Gershgorin bound on the bands proves a
-last sector past which no ground energy can compete, and one ``dstebz``
-count over the sectors up to it, laid end to end, proves which ones can
-hold the minimum, so only those (usually one or two) are bisected; only
-P* and P*+1 are fully diagonalized and certified.  A parity block that
+the ``(diag, offdiag)`` bands.  A Gershgorin bound on the bands, one
+quadratic per row with both roots, proves a window of sectors outside
+which no ground energy can compete, and one LDL^T pass (LAPACK
+``dpttrf``) over the window's sectors, laid end to end, proves which ones
+can hold the minimum, so only those (usually one or two) are bisected;
+only P* and P*+1 are fully diagonalized and certified.  A parity block that
 conserves n + s or n - s is solved chain by chain, tridiagonal with zeros
 between chains; ``eigen.eigh`` splits such a matrix (or a diagonal sector
 at g = 0) at its zeros, so eigenvectors are exactly zero off their chain.
@@ -21,11 +22,12 @@ The Fock-cutoff search compares truncations of a parity block by their
 three lowest eigenvalues, from LAPACK ``dsbevx`` on ``parity_band``.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dsbevx, dstebz
+from scipy.linalg.lapack import dpttrf, dsbevx, dstebz
 
 from . import eigen
 from .model import (
@@ -68,7 +70,8 @@ _EPS = np.finfo(float).eps
 # Sectors whose ground energies differ by at most this are tied; P* is the
 # smaller one.
 _TIE_WINDOW = 1e-12
-# Band elements that one dstebz call of _candidate_sectors covers.
+# Band elements in one chunk of the count of _candidate_sectors: whole
+# sectors, so memory stays bounded however wide the window is.
 _BAND_BLOCK = 2**14
 
 
@@ -168,10 +171,23 @@ def _bisect_lowest(params: ModelParams, sectors, e0: dict[int, float]) -> None:
         e0[p] = float(w[0])
 
 
-def _candidate_sectors(params: ModelParams, x: float) -> tuple[list[int], int]:
-    """``(sectors, p_stop)``: a sector P_stop past which every sector's
-    bisected lowest eigenvalue lies above ``x``, and the sectors in
-    0..P_stop that may have one at or below ``x``: the others do not.
+@functools.cache
+def _row_offsets(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(h, s - h)``, read-only: the offsets h_s = 1/2 for s <= N/2 and 1
+    for s > N/2 of the window's variable w = sqrt(n + h_s) in
+    ``_candidate_sectors``, kept per N like ``model._sector_labels``."""
+    s = _sector_labels(n_atoms)[0]
+    h = np.where(s > n_atoms / 2, 1.0, 0.5)
+    s_h = s - h
+    h.flags.writeable = s_h.flags.writeable = False
+    return h, s_h
+
+
+def _candidate_sectors(params: ModelParams, x: float) -> tuple[list[int], int, int]:
+    """``(sectors, p_lo, p_stop)``: a window of sectors P_lo..P_stop outside
+    which every sector's bisected lowest eigenvalue lies above ``x``, and
+    the sectors in it that may have one at or below ``x``: the others do
+    not.  An empty window is ``([], 0, -1)``.
 
     Row s of sector P (n = P - s photons, m = s - N/2) has the diagonal
     a_s n + b_s, a_s = omega_a + lambda_z m/j, b_s = omega_b m + u m^2/j,
@@ -179,45 +195,71 @@ def _candidate_sectors(params: ModelParams, x: float) -> tuple[list[int], int]:
     |d_s| <= A P + B, A = omega_a + |lambda_z|, B = (omega_b + |u|) N/2,
     and |e_s| <= K sqrt(P), K = max k_s.  In units of the norm A P + B
     + 2 K sqrt(P) + |x| at a shift x, kappa = 16 (N + 1) eps >= 32 eps
-    covers a few eps each for a Sturm count and a ``dstebz`` bisection
-    (Kahan's backward error) and, in the count, 2 eps for dstebz's
-    splitting (it zeroes e_s^2 <= eps^2 |d_s d_{s+1}| + safe-min), 14 eps
-    for its separable bands against those of ``sector_bands`` (d within
-    8 and 6 eps (A P + B) of exact, e within 4 eps K sqrt(P) each), and
-    2 pivmin <= 2 safe-min max(1, K^2 P) for its pivmin.
+    covers a few eps for the ``dstebz`` bisection of a sector (Kahan's
+    backward error), 14 eps for the count's separable bands against those
+    of ``sector_bands`` (d within 8 and 6 eps (A P + B) of exact, e within
+    4 eps K sqrt(P) each) and 3 eps for the count itself: the rounded shift
+    d - y is within eps (|d| + |y|), and the signs of ``dpttrf``'s pivots
+    are exact for bands whose off-diagonals move by at most 3/2 eps each
+    (the LDL^T backward error: Kahan 1966; Demmel, Dhillon & Ren, ETNA 3,
+    1995).  So a sector whose bisected value is <= x has an eigenvalue <=
+    y(P) = x + kappa (A P + B + 2 K sqrt(P) + |x|) for the count.
 
-    The stop: off-diagonals of row s lie below C_s sqrt(n + 1), C_s =
-    k_{s-1} + k_s, k_{-1} = 0.  With t = sqrt(n + 1), P <= t^2 + N and
-    sqrt(P) <= t + sqrt(N), Gershgorin's theorem puts the bisected value
-    above ``x`` once every row has
+    The window: row s's Gershgorin radius is k_{s-1} sqrt(n + 1) + k_s
+    sqrt(n) (k_{-1} = 0).  Take w = sqrt(n + h_s), h_s = 1/2 for s <= N/2
+    and 1 for s > N/2, and C_s = k_{s-1} + k_s.  For s <= N/2, k_{s-1} <=
+    k_s, and with w >= sqrt(1/2), sqrt(n + 1) <= w + 1/(4w) and sqrt(n) <=
+    w - 1/(4w), so the radius is at most C_s w + (k_{s-1} - k_s)/(4w) <=
+    C_s w; for s > N/2 it is at most C_s w with w = sqrt(n + 1), which is
+    exact at s = N.  With P = s + w^2 - h_s <= N + w^2 - 1/2 and sqrt(P)
+    <= sqrt(N) + w, row s's disc lies above y(P) whenever
 
-        (a_s - kappa A) t^2 - (C_s + 2 kappa K) t
-            - (x + a_s - b_s + kappa (A N + B + 2 K sqrt(N) + |x|)) > 0,
+        q_s(w) = alpha_s w^2 - beta_s w - gamma_s > 0,
+        alpha_s = a_s - kappa A,  beta_s = C_s + 2 kappa K,
+        gamma_s = x + a_s h_s - b_s + kappa (A (N - 1/2) + B + 2 K sqrt(N) + |x|),
 
-    i.e. t > T_s, the larger root, i.e. P > s + T_s^2 - 1.  P_stop =
-    floor((1 + 1e-6) max_s (s + T_s^2)) adds one sector and a relative 1e-6
-    for the O(sqrt(eps)) rounding of T_s^2.
+    i.e. outside the roots w_- <= w_+ of q_s, whose discriminant is
+    disc_s = beta_s^2 + 4 alpha_s gamma_s.  The larger root bounds the
+    row's last sector, s + w_+^2 - h_s; when gamma_s < 0 both roots are
+    positive and the smaller, w_- = 2 |gamma_s| / (beta_s + sqrt(disc_s))
+    in the form free of cancellation, bounds its first, s + w_-^2 - h_s
+    (else it is s).  As C_s sqrt(n + 1/2) <= C_s sqrt(n + 1), no row
+    reaches further than with w = sqrt(n + 1) on every row.  A row whose discriminant is below -1e-6 beta_s^2, and
+    so negative in exact arithmetic too, never reaches.  A sector reaches
+    only through a row that does, so P_lo and P_stop are the smallest first
+    and the largest last sector over the rows, each one sector and a
+    relative 1e-6 further out for the O(sqrt(eps)) rounding of the roots:
+    P_lo = max(0, ceil((1 - 1e-6) (min first - 1))), P_stop = floor((1 +
+    1e-6) (max last + 1)).
 
-    The count: LAPACK ``dstebz`` (RANGE = 'V', VL = -inf, VU = y) takes
-    the bands of sectors 0..P_stop end to end, N + 1 rows each, in calls
-    of about ``_BAND_BLOCK`` elements; ``iblock`` and ``isplit`` name the
-    sectors holding an eigenvalue <= y.  Sectors end at exact-zero
-    off-diagonals; padded rows s > P get a diagonal above y, 1x1 blocks
-    that never count.  Bands take the separable form d = P a_s + (b_s -
-    s a_s), e = k_s sqrt(P - s)+.  One y = x + kappa (A P + B + 2 K sqrt(P)
-    + |x|) at P = P_stop serves every call, so the calls cannot change the
-    result.
+    The count: the window's sectors are laid end to end, N + 1 rows each,
+    in chunks of about ``_BAND_BLOCK`` elements, in the separable form d =
+    P a_s + (b_s - s a_s), e = k_s sqrt(P - s), and shifted by one y =
+    y(P_stop), the largest.  Each sector ends at an exact-zero off-diagonal
+    (k_N = 0, or n = 0 on its last row), so LAPACK ``dpttrf`` factors it on
+    its own; it stops at the first pivot <= 0 and returns its row: that
+    sector's leading block, and so the sector, has an eigenvalue <= y
+    (Sylvester's inertia and Cauchy's interlacing).  The scan restarts at
+    the next sector, so each row is factored at most once.  An exactly zero
+    pivot stops the scan before any division; a tiny positive one makes
+    the next pivot hugely negative or -inf, and gradual underflow moves a
+    pivot by at most a subnormal.  So rounding can only add a candidate,
+    never drop one, and an added candidate is only bisected: it cannot
+    become P*.  When the window starts below N, rows s > P pad a sector
+    P < N with a pivot of 1 and zero off-diagonals, and never stop the
+    scan.
 
     A zero lambda_z or u term is not evaluated: a_s is then the scalar
     omega_a and b_s = omega_b m, bit for bit what omega_a + (+-0.0) m and
     (omega_b + (+-0.0) m) m give, as omega_a and omega_b are nonzero.
-    c_s = b_s - s a_s is formed once for every call.  The labels s, m and
-    sqrt((s+1)(N-s)) come from the per-N table ``model._sector_labels``,
-    which ``sector_bands`` slices too, so k_s is the same product of the
-    same factors as there.
+    c_s = b_s - s a_s is formed once and serves every chunk.  The labels
+    s, m and sqrt((s+1)(N-s)) come from the per-N table
+    ``model._sector_labels``, which ``sector_bands`` slices too, so k_s is
+    the same product of the same factors as there.
 
     Raises ValueError if some a_s <= kappa A: omega_a <= |lambda_z| makes
-    H unbounded below.
+    H unbounded below.  Raises ``eigen.EigenError`` if ``dpttrf`` reports
+    an illegal argument (info < 0).
     """
     N = params.n_atoms
     s, m, spin = _sector_labels(N)
@@ -231,37 +273,62 @@ def _candidate_sectors(params: ModelParams, x: float) -> tuple[list[int], int]:
     kappa = 16 * (N + 1) * _EPS
     big_a = params.omega_a + abs(params.lambda_z)
     big_b = (params.omega_b + abs(params.u)) * N / 2
-    big_k = k.max()
+    big_k = k[N // 2]  # (s + 1)(N - s) peaks there, and sqrt and the product are monotone
 
     # rounding is monotone, so this is min_s (a_s - kappa A) > 0
     if not a_min - kappa * big_a > 0:
         raise ValueError(f"H is unbounded below: omega_a = {params.omega_a}, lambda_z = {params.lambda_z}")
     alpha = a - kappa * big_a
-    beta = k.copy()
+    beta = k + 2 * kappa * big_k
     beta[1:] += k[:-1]
-    beta += 2 * kappa * big_k
-    gamma = a - b + (x + kappa * (big_a * N + big_b + 2 * big_k * math.sqrt(N) + abs(x)))
-    t = (beta + np.sqrt(np.maximum(beta * beta + 4 * alpha * gamma, 0.0))) / (2 * alpha)
-    p_stop = math.floor((s + t * t).max() * (1 + 1e-6))
+    h, s_h = _row_offsets(N)
+    gamma = x + kappa * (big_a * (N - 0.5) + big_b + 2 * big_k * math.sqrt(N) + abs(x)) + a * h - b
+    bb = beta * beta
+    disc = bb + 4 * alpha * gamma
+    # below -1e-6 beta^2 the exact discriminant is negative too: the row never reaches
+    rows = disc >= -1e-6 * bb
+    two_aw = beta + np.sqrt(np.maximum(disc, 0.0))  # 2 alpha_s w_+
+    last = s_h + (two_aw / (2 * alpha)) ** 2
+    # w_- where gamma < 0, else the row reaches from n = 0; two_aw > 0 on a row
+    # that reaches with gamma < 0 (at g = 0, beta = 0 and disc = 4 alpha gamma < 0)
+    w_lo = np.divide(-2 * gamma, two_aw, out=np.zeros(N + 1), where=rows & (gamma < 0))
+    first = np.maximum(s_h + w_lo * w_lo, s)
+    top = last.max(where=rows, initial=-math.inf)
+    if top == -math.inf:  # no row reaches
+        return [], 0, -1
+    p_stop = math.floor((1 + 1e-6) * (top + 1))
+    p_lo = max(0, math.ceil((1 - 1e-6) * (first.min(where=rows, initial=math.inf) - 1)))
 
     y = x + kappa * (big_a * p_stop + big_b + 2 * big_k * math.sqrt(p_stop) + abs(x))
     c = b - s * a
     per_call = max(1, _BAND_BLOCK // (N + 1))
     reaching = []
-    for start in range(0, p_stop + 1, per_call):
-        stop = min(start + per_call, p_stop + 1)
-        chunk = np.arange(float(start), stop)[:, np.newaxis]  # sector labels P, as exact floats
+    for start in range(p_lo, p_stop + 1, per_call):
+        # sector labels P, as exact floats
+        chunk = np.arange(float(start), min(start + per_call, p_stop + 1))[:, np.newaxis]
         n = chunk - s
         diag = chunk * a + c
-        diag[n < 0] = 2 * abs(y) + 1
-        off = k * np.sqrt(np.maximum(n, 0.0))
-        found, _, iblock, isplit, info = dstebz(diag.ravel(), off.ravel()[:-1], 1, -np.inf, y, 0, 0, np.inf, "B")
-        if info != 0:
-            raise eigen.EigenError(f"Sturm count failed on sectors {start}..{stop - 1} (info = {info})")
-        # isplit holds the last row of each block, 1-based
-        rows = ((isplit[iblock[:found] - 1] - 1) // (N + 1)).tolist()
-        reaching.extend(sorted({start + row for row in rows}))
-    return reaching, p_stop
+        diag -= y
+        diag = diag.ravel()
+        if start < N:  # rows s > P pad sector P: pivots 1, off-diagonals 0
+            diag[n.ravel() < 0] = 1.0
+            np.maximum(n, 0.0, out=n)
+        off = np.sqrt(n, out=n)
+        off *= k
+        off = off.ravel()  # each sector ends with an exact zero
+        row = 0
+        while row < diag.size:
+            # the wrapper wants an off-diagonal of length >= 1 even for one row
+            _, _, info = dpttrf(diag[row:], off[row : max(row + 1, diag.size - 1)], overwrite_d=1, overwrite_e=1)
+            if info < 0:
+                raise eigen.EigenError(f"LDL^T count failed on sectors from {start} (info = {info})")
+            if info == 0:
+                break
+            # pivot row + info - 1 is the first <= 0: its sector reaches, and the next starts afresh
+            sector = (row + info - 1) // (N + 1)
+            reaching.append(start + sector)
+            row = (sector + 1) * (N + 1)
+    return reaching, p_lo, p_stop
 
 
 def solve_ground(params: ModelParams) -> GroundSolve:
@@ -272,9 +339,9 @@ def solve_ground(params: ModelParams) -> GroundSolve:
     bisection, but only for the sectors that can matter: one sector near
     the condensate occupation, ceil(lambda_+^2 - 1/2), is bisected first;
     one call of ``_candidate_sectors`` then proves, by a Gershgorin bound
-    on the bands, that no sector past P_stop lies within the tie window
-    of that energy and, by a Sturm count over 0..P_stop, which of those
-    may.  Only those, and P*+1, are bisected, so P* is the one an
+    on the bands, that no sector outside a window P_lo..P_stop lies within
+    the tie window of that energy and, by an LDL^T count over the window,
+    which of those may.  Only those, and P*+1, are bisected, so P* is the one an
     exhaustive bisection of every sector would pick.  Only sectors P* and
     P*+1 get the full certified decomposition, and their certified ground
     energies must match the bisection values.

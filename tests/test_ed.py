@@ -917,9 +917,46 @@ def test_sectors_past_the_search_stop_lie_above_the_best_energy(template):
         # x, and a higher x reaches further sectors
         for shift in (1e-12, 5.0, 50.0):
             x = e0[guess] + shift
-            stop = ed._candidate_sectors(params, x)[1]
+            stop = ed._candidate_sectors(params, x)[2]
             ed._bisect_lowest(params, range(stop + 201), e0)
             assert all(e0[p] > x for p in range(stop + 1, stop + 201))
+
+
+@pytest.mark.parametrize(
+    "template",
+    EQUIVALENCE_TEMPLATES
+    + [ModelParams(lambda_z=0.9, n_atoms=6), ModelParams(lambda_z=-0.9, n_atoms=6), ModelParams(n_atoms=200)],
+    ids=["N1", "N2", "N3", "N5", "N8", "N3-detuned", "N4-lambda_z", "N4-u", "N3-lambda_z-u",
+         "N6-lambda_z+0.9", "N6-lambda_z-0.9", "N200"],
+)
+def test_sectors_below_the_search_window_lie_above_the_best_energy(template):
+    gc = critical_coupling(template)
+    for ratio in (0.0, 0.5, 1.0, 1.7, 3.0):
+        params = replace(template, g=ratio * gc)
+        e0 = {}
+        guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
+        ed._bisect_lowest(params, [guess], e0)
+        for shift in (1e-12, 5.0, 50.0):
+            x = e0[guess] + shift
+            lo = ed._candidate_sectors(params, x)[1]
+            ed._bisect_lowest(params, range(lo), e0)
+            assert all(e0[p] > x for p in range(lo))
+        # far below every sector no row's Gershgorin interval reaches: an empty window
+        assert ed._candidate_sectors(params, min(e0.values()) - 1e6 * (1 + params.g) * params.n_atoms) == ([], 0, -1)
+
+
+@pytest.mark.parametrize("n_atoms, window", [(200, 93), (1000, 206)])
+def test_the_search_window_stays_near_the_staircase(n_atoms, window):
+    # at g = 2 g_c the window keeps a few percent of the sectors 0..P_stop
+    # (318 at N = 200, 1,565 at N = 1000) and holds P*
+    template = ModelParams(n_atoms=n_atoms)
+    params = replace(template, g=2 * critical_coupling(template))
+    guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
+    e0 = {}
+    ed._bisect_lowest(params, [guess], e0)
+    sectors, lo, stop = ed._candidate_sectors(params, e0[guess] + 1e-12)
+    assert stop - lo + 1 == window
+    assert lo <= min(sectors) and max(sectors) <= stop and guess in sectors
 
 
 def _screen_norms(params):
@@ -982,46 +1019,79 @@ def test_screen_matches_the_dlaebz_recurrence(template):
         ed._bisect_lowest(params, [guess], e0)
         for shift in (1e-12, 0.3, 5.0):
             x = e0[guess] + shift
-            reaching, stop = ed._candidate_sectors(params, x)
-            assert reaching == _dlaebz_screen(params, range(stop + 1), x)
+            reaching, lo, stop = ed._candidate_sectors(params, x)
+            assert reaching == _dlaebz_screen(params, range(lo, stop + 1), x)
 
 
 def test_sturm_count_survives_an_exactly_zero_pivot():
-    # at g = 0 the off-diagonals vanish and the pivot of row s is d_s - y;
-    # a count shifted exactly onto a diagonal entry makes that pivot 0, and
-    # the next row divides 0 by it unless the dlaebz pivmin rule replaced it
-    params = ModelParams(omega_b=1.3, n_atoms=3)
+    # at g = 0 the off-diagonals vanish and the LDL^T pivot of row s is
+    # d_s - y; a count shifted exactly onto a diagonal entry makes that pivot
+    # 0 with every earlier pivot of the sector positive, and the sector must
+    # count as reaching, whichever row it is
+    params = ModelParams(omega_a=1.3, n_atoms=3)
     diag = sector_bands(params, 4)[0]
     kappa, big_a, big_b, big_k = _screen_norms(params)
     assert big_k == 0.0
     # the screen's separable diagonal P a_s + (b_s - s a_s) of sector 4 is
-    # bit-identical here: a_s = 1, b_s = 1.3 (s - 3/2)
+    # bit-identical here: a_s = 1.3, b_s = s - 3/2; it falls with s, and
+    # sector 5 lies above it
     s = np.arange(4.0)
-    a, b = np.ones(4), 1.3 * (s - 1.5)
+    a, b = np.full(4, 1.3), s - 1.5
     assert np.array_equal(4 * a + (b - s * a), diag)
+    assert np.all(np.diff(diag) < 0) and sector_bands(params, 5)[0].min() > diag.max()
 
-    def shifted(x, p_stop):  # the y of the count over 0..P_stop, K = 0
+    def shifted(x, p_stop):  # the y of the count over the window, K = 0
         return x + kappa * (big_a * p_stop + big_b + abs(x))
 
-    # row 1 is the zero pivot the recurrence must survive; on row 0, the
-    # lowest eigenvalue of sector 4, only a y taken at P_stop = 5 keeps
-    # sector 4
-    for row in (1, 0):
+    # row 0 is the first row of sector 4; on row 3, its last and its lowest
+    # eigenvalue, only a y taken at P_stop keeps sector 4
+    for row in (0, 1, 2, 3):
         x = diag[row]
-        p_stop = ed._candidate_sectors(params, x)[1]
+        p_stop = ed._candidate_sectors(params, x)[2]
         assert p_stop == 5
         while shifted(x, p_stop) > diag[row]:
             x = np.nextafter(x, -np.inf)
         assert shifted(x, p_stop) == diag[row]
         with np.errstate(divide="raise", invalid="raise"):
-            assert ed._candidate_sectors(params, x) == ([0, 1, 2, 3, 4], p_stop)
+            assert ed._candidate_sectors(params, x) == ([0, 1, 2, 3, 4], 0, p_stop)
     assert _dlaebz_screen(params, range(p_stop + 1), x) == [0, 1, 2, 3]  # its y for sector 4 is smaller
 
 
+def test_ldlt_count_restarts_after_each_reaching_sector(monkeypatch):
+    # a high x makes a run of adjacent sectors reach from the first one in the
+    # window; with three sectors per chunk, reaching sectors fall first and
+    # last in a chunk and on both sides of a chunk boundary, and each restart
+    # must resume at the next sector
+    params = replace(ModelParams(n_atoms=4), g=1.7 * critical_coupling(ModelParams(n_atoms=4)))
+    guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
+    e0 = {}
+    ed._bisect_lowest(params, [guess], e0)
+    x = e0[guess] + 5.0
+    expected = ed._candidate_sectors(params, x)
+    monkeypatch.setattr(ed, "_BAND_BLOCK", 3 * 5)  # three 5-row sectors per chunk
+    reaching, lo, stop = ed._candidate_sectors(params, x)
+    assert (reaching, lo, stop) == expected
+    assert reaching == _dlaebz_screen(params, range(lo, stop + 1), x)
+    assert reaching[0] == lo
+    chunk_ends = [p for p in reaching if (p - lo) % 3 == 2 and p + 1 in reaching]
+    # and sectors that do not reach follow the run inside the window
+    assert chunk_ends and reaching[-1] < stop
+
+
+def test_ldlt_count_raises_on_a_lapack_error(monkeypatch):
+    def failing(d, e, **kwargs):
+        return d, e, -1
+
+    monkeypatch.setattr(ed, "dpttrf", failing)
+    with pytest.raises(EigenError, match="LDL"):
+        solve_ground(ModelParams(omega_a=1, omega_b=1, g=2.0, n_atoms=3))
+
+
 def _reference_candidate_sectors(params, x):
-    """``ed._candidate_sectors`` as it was before its constant work was cut:
-    every lambda_z and u term evaluated, eps from ``np.finfo`` and the
-    sector map through ``np.unique``."""
+    """``ed._candidate_sectors`` written out plainly: every lambda_z and u
+    term evaluated, k_{s-1} by ``np.append``, the smaller root only where
+    gamma < 0, and the count over the window by LAPACK ``dstebz`` on bands
+    padded to N + 1 rows, mapped to sectors through ``np.unique``."""
     N = params.n_atoms
     s = np.arange(N + 1.0)
     m = s - N / 2
@@ -1036,13 +1106,24 @@ def _reference_candidate_sectors(params, x):
     alpha = a - kappa * big_a
     if not alpha.min() > 0:
         raise ValueError(f"H is unbounded below: omega_a = {params.omega_a}, lambda_z = {params.lambda_z}")
-    beta = k + np.append(0.0, k[:-1]) + 2 * kappa * big_k
-    gamma = a - b + (x + kappa * (big_a * N + big_b + 2 * big_k * math.sqrt(N) + abs(x)))
-    t = (beta + np.sqrt(np.maximum(beta * beta + 4 * alpha * gamma, 0.0))) / (2 * alpha)
-    p_stop = math.floor((s + t * t).max() * (1 + 1e-6))
+    # row s at w = sqrt(n + h_s) with P <= N + w^2 - 1/2 and sqrt(P) <= sqrt(N) + w
+    h = np.where(s > N / 2, 1.0, 0.5)
+    beta = k + 2 * kappa * big_k + np.append(0.0, k[:-1])
+    gamma = x + kappa * (big_a * (N - 0.5) + big_b + 2 * big_k * math.sqrt(N) + abs(x)) + a * h - b
+    disc = beta**2 + 4 * alpha * gamma
+    rows = disc >= -1e-6 * beta**2
+    if not rows.any():
+        return [], 0, -1
+    root = np.sqrt(np.maximum(disc, 0.0))
+    w_hi = (beta + root) / (2 * alpha)
+    w_lo = np.zeros(N + 1)
+    lower = rows & (gamma < 0)
+    w_lo[lower] = -2 * gamma[lower] / (beta[lower] + root[lower])
+    p_stop = math.floor((1 + 1e-6) * (((s - h) + w_hi**2)[rows].max() + 1))
+    p_lo = max(0, math.ceil((1 - 1e-6) * ((s + np.maximum(w_lo**2 - h, 0.0))[rows].min() - 1)))
 
     y = x + kappa * (big_a * p_stop + big_b + 2 * big_k * math.sqrt(p_stop) + abs(x))
-    p = np.arange(p_stop + 1)
+    p = np.arange(p_lo, p_stop + 1)
     per_call = max(1, ed._BAND_BLOCK // (N + 1))
     reaching = []
     for start in range(0, p.size, per_call):
@@ -1054,7 +1135,7 @@ def _reference_candidate_sectors(params, x):
         found, _, iblock, isplit, info = ed.dstebz(diag.ravel(), off.ravel()[:-1], 1, -np.inf, y, 0, 0, np.inf, "B")
         assert info == 0
         reaching.extend(chunk[np.unique((isplit[iblock[:found] - 1] - 1) // (N + 1)), 0].tolist())
-    return reaching, p_stop
+    return reaching, p_lo, p_stop
 
 
 _SCREEN_TEMPLATES = {
@@ -1069,11 +1150,12 @@ _SCREEN_TEMPLATES = {
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 5, 8, 20, 80, 200])
 @pytest.mark.parametrize("template", list(_SCREEN_TEMPLATES))
 def test_screen_equals_the_reference_implementation(template, n_atoms):
-    # the lean screen skips zero lambda_z and u terms and forms its bands
-    # from constants computed once; its sectors and stop are those of the
-    # full evaluation.  lambda_z = -0.99 makes a_s = 0.01 at m = j, so the
-    # stop grows to 10^4-10^5 sectors past g_c; its couplings above g_c
-    # are left out to keep the test short.
+    # the lean screen skips zero lambda_z and u terms, forms its bands
+    # from constants computed once and counts by LDL^T; its sectors and
+    # window are those of the full evaluation and a dstebz count.
+    # lambda_z = -0.99 makes a_s = 0.01 at m = j, so the window grows to
+    # 10^4-10^5 sectors past g_c; its couplings above g_c are left out to
+    # keep the test short.
     params0 = ModelParams(n_atoms=n_atoms, **_SCREEN_TEMPLATES[template])
     ratios = np.linspace(0, 3.5, 15).tolist()
     if template == "lambda_z-0.99":
@@ -1168,8 +1250,8 @@ def test_screen_does_not_depend_on_blocking(monkeypatch, template, ratio, shift)
     e0 = {}
     ed._bisect_lowest(params, [guess], e0)
     for x in (e0[guess] + 1e-12, e0[guess] + shift):
-        # the default lays every sector end to end in one dstebz call,
-        # except at N = 200, whose 201-row sectors take several calls
+        # the default lays every sector of the window end to end in one
+        # chunk, except at N = 200, whose 201-row sectors take several
         expected = ed._candidate_sectors(params, x)
         with monkeypatch.context() as patch:
             patch.setattr(ed, "_BAND_BLOCK", 1)  # one sector per call
@@ -1211,15 +1293,15 @@ def test_screen_bisects_a_handful_of_sectors(monkeypatch, template, ratio, p_sta
     real_screen = ed._candidate_sectors
 
     def screening(params, x):
-        sectors, p_stop = real_screen(params, x)
-        screened.append(p_stop + 1)
-        return sectors, p_stop
+        sectors, p_lo, p_stop = real_screen(params, x)
+        screened.append(p_stop + 1 - p_lo)
+        return sectors, p_lo, p_stop
 
     monkeypatch.setattr(ed, "_bisect_lowest", recording)
     monkeypatch.setattr(ed, "_candidate_sectors", screening)
     assert solve_ground(replace(template, g=ratio * critical_coupling(template))).point.p_star == p_star
     assert {p_star, p_star + 1} <= set(bisected) and len(bisected) <= 4
-    # the proven stop stays near the staircase: 318 sectors for P* = 263
+    # the proven window stays near the staircase: 93 sectors around P* = 263
     assert screened[0] <= 1.25 * (p_star + 1) + template.n_atoms + 4
 
 
