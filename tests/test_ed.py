@@ -947,8 +947,8 @@ def test_sectors_below_the_search_window_lie_above_the_best_energy(template):
 
 @pytest.mark.parametrize("n_atoms, window", [(200, 93), (1000, 206)])
 def test_the_search_window_stays_near_the_staircase(n_atoms, window):
-    # at g = 2 g_c the window keeps a few percent of the sectors 0..P_stop
-    # (318 at N = 200, 1,565 at N = 1000) and holds P*
+    # at g = 2 g_c the window keeps under a third of the sectors 0..P_stop
+    # (313 at N = 200, 1,419 at N = 1000) and holds P*
     template = ModelParams(n_atoms=n_atoms)
     params = replace(template, g=2 * critical_coupling(template))
     guess = math.ceil(saddle_point(params).lambda_plus_sq - 0.5)
