@@ -224,8 +224,9 @@ def _candidate_sectors(params: ModelParams, x: float) -> tuple[list[int], int, i
     positive and the smaller, w_- = 2 |gamma_s| / (beta_s + sqrt(disc_s))
     in the form free of cancellation, bounds its first, s + w_-^2 - h_s
     (else it is s).  As C_s sqrt(n + 1/2) <= C_s sqrt(n + 1), no row
-    reaches further than with w = sqrt(n + 1) on every row.  A row whose discriminant is below -1e-6 beta_s^2, and
-    so negative in exact arithmetic too, never reaches.  A sector reaches
+    reaches further than with w = sqrt(n + 1) on every row.  A row whose
+    discriminant is below -1e-6 beta_s^2, and so negative in exact
+    arithmetic too, never reaches.  A sector reaches
     only through a row that does, so P_lo and P_stop are the smallest first
     and the largest last sector over the rows, each one sector and a
     relative 1e-6 further out for the O(sqrt(eps)) rounding of the roots:

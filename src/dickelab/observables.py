@@ -17,8 +17,11 @@ NaN included, starts a new cluster.  A cluster of one line keeps that
 line's energy and weight; a larger one takes the mean energy and the
 summed weight of its lines.
 
-With g' > 0 only parity survives: ``anomalous_weight`` resolves <G|a a|G>
-over the parity blocks, applying a through the ``FullBasis`` flat layout.
+With g' > 0 only parity survives: ``anomalous_weight`` is |<G|a a|G>|
+of the ground vector G alone, read through the ``FullBasis`` flat layout.
+Its Lehmann resolution over the other parity block is the same number,
+since that block's eigenvectors span all of it and a never leaves the
+truncation.
 """
 
 from dataclasses import dataclass
@@ -158,40 +161,30 @@ def mandel_q(ground: SectorSpectrum) -> float:
 
 
 def anomalous_weight(full_even: FullSpectrum, full_odd: FullSpectrum) -> float:
-    """Total weight |sum_m <G|a|m><m|a|G>| of the a.a channel.
+    """Total weight |<G|a a|G>| of the a.a channel.
 
     G is the global ground state across the two parity blocks (ties go
-    to the even block).  The states m run over the opposite block, which
-    a|G> spans completely, so the sum equals the equal-time anomalous
-    correlator <G|a a|G> resolved over eigenstates.  It vanishes
-    identically when g' = 0: a.a lowers the conserved excitation number
-    by two, and sector-supported eigenvectors make every product an
-    exact zero.  a is applied through the FullBasis layout (``_lower``).
+    to the even block).  This is the Lehmann sum sum_m <G|a|m><m|a|G> over
+    the other block: a|G> lies in that block, whose eigenvectors span it,
+    and a lowers n, so a|G> never leaves the truncation and the identity
+    holds exactly at every n_max.  a a|n, s> = sqrt(n (n - 1)) |n - 2, s>
+    moves an amplitude 2 (N + 1) flat ``FullBasis`` indices down, so the
+    sum is sum_i G_i sqrt((n_i + 1)(n_i + 2)) G_{i + 2 (N + 1)}, reading
+    zero past n_max.  It is an exact 0.0 when g' = 0 or g = 0 (G lies on
+    one chain of n + s or n - s, and a a maps it off that chain) and when
+    n_max < 2 (no state has two photons to lower).
     """
     if full_even.parity != 1 or full_odd.parity != -1:
         raise ValueError("pass the even block first and the odd block second")
     if full_even.basis != full_odd.basis:
         raise ValueError("parity blocks were solved on different bases")
-    if full_even.energies[0] <= full_odd.energies[0]:
-        block_g, block_m = full_even, full_odd
-    else:
-        block_g, block_m = full_odd, full_even
-    ground = block_g.amplitudes[:, 0]
-    forward = block_m.amplitudes.T @ _lower(block_g, ground, block_m)  # <m|a|G>
-    backward = _lower(block_m, block_m.amplitudes, block_g).T @ ground  # <G|a|m>
-    return float(abs(np.dot(backward, forward)))
-
-
-def _lower(source: FullSpectrum, vectors: np.ndarray, target: FullSpectrum) -> np.ndarray:
-    """a|n, s> = sqrt(n) |n - 1, s> on ``vectors`` (rows on ``source.indices``),
-    in rows on ``target.indices``.  |n, s> sits at flat index n (N + 1) + s,
-    so index i reads sqrt(n) times the amplitude at i + N + 1, zero past the
-    basis (n_max + 1 photons)."""
-    stride = source.basis.n_atoms + 1
-    root = np.sqrt(source.indices // stride)  # sqrt(n)
-    flat = np.zeros((source.basis.dim + stride, *vectors.shape[1:]))
-    flat[source.indices] = (root if vectors.ndim == 1 else root[:, None]) * vectors
-    return flat[target.indices + stride]
+    block = full_even if full_even.energies[0] <= full_odd.energies[0] else full_odd
+    shift = 2 * (block.basis.n_atoms + 1)
+    ground = block.amplitudes[:, 0]
+    flat = np.zeros(block.basis.dim + shift)
+    flat[block.indices] = ground
+    n = block.indices // (block.basis.n_atoms + 1)
+    return float(abs(np.dot(ground * np.sqrt((n + 1) * (n + 2)), flat[block.indices + shift])))
 
 
 def evaluate_time_correlation(cs: CorrelationSpectrum, tau_values) -> list[float]:

@@ -346,7 +346,7 @@ def test_anomalous_amplitude_is_odd_in_gprime():
     assert amplitudes[0] == pytest.approx(0.2706152582523196, abs=1e-12)
     assert amplitudes[1] == pytest.approx(-0.2706152582523196, abs=1e-12)
     weight = dl.anomalous_weight(dl.solve_full(params, n_max, 1), dl.solve_full(params, n_max, -1))
-    assert abs(amplitudes[0]) == pytest.approx(weight, abs=1e-12)
+    assert abs(amplitudes[0]) == pytest.approx(weight, rel=1e-13, abs=0)
 
 
 def test_criterion_10_numerical_hygiene():

@@ -569,7 +569,7 @@ def test_anomalous_demo_scan_writes_the_recorded_file(tmp_path):
     run_scan(parse_config(config))
     assert (tmp_path / "out" / "anomalous.csv").read_bytes() == (
         b"quantity,g,g_over_gc,p_star,ed_value,analytic_value,rel_deviation,near_qcp\n"
-        b"anomalous,2.0,2.0,,1.2750456370158867,,,false\n"
+        b"anomalous,2.0,2.0,,1.2750456370158885,,,false\n"
     )
 
 
@@ -662,14 +662,27 @@ def _reference_shift(idx_from, idx_to, stride):
     return np.where(idx_to[:, None] == idx_from - stride, np.sqrt(idx_from // stride), 0.0)
 
 
-def _reference_anomalous_weight(even, odd, stride):
-    """``anomalous_weight`` from ``(indices, energies, amplitudes)`` of each
-    block, through two dense shift matrices."""
+def _lehmann_anomalous_weight(even, odd, stride):
+    """|sum_m <G|a|m><m|a|G>| from ``(indices, energies, amplitudes)`` of each
+    block: the Lehmann sum over every eigenvector m of the other block,
+    through two dense shift matrices.  It equals |<G|a a|G>|, which
+    ``anomalous_weight`` computes from G alone."""
     (idx_g, _, v_g), (idx_m, _, v_m) = (even, odd) if even[1][0] <= odd[1][0] else (odd, even)
     ground = v_g[:, 0]
     forward = v_m.T @ (_reference_shift(idx_g, idx_m, stride) @ ground)
     backward = (_reference_shift(idx_m, idx_g, stride) @ v_m).T @ ground
     return float(abs(np.dot(backward, forward)))
+
+
+def _check_weight(weight, blocks, params, n_max):
+    """Where a a|G> can be nonzero (g g' > 0, n_max >= 2), ``weight`` is within
+    1e-13 relative of the Lehmann sum, which adds the same identity in
+    another order; elsewhere it is an exact 0.0."""
+    if params.g * params.g_prime > 0 and n_max >= 2:
+        reference = _lehmann_anomalous_weight(*blocks, params.n_atoms + 1)
+        assert abs(weight - reference) <= 1e-13 * reference, (params, n_max, weight, reference)
+    else:
+        assert weight == 0.0, (params, n_max, weight)
 
 
 def _same_bits(got, expected):
@@ -722,8 +735,7 @@ def test_full_basis_results_equal_the_per_call_construction(n_atoms, monkeypatch
             for spec, ref in zip(got, expected):
                 assert all(_same_bits(g, e) for g, e in zip((spec.indices, spec.energies, spec.amplitudes), ref[:3]))
                 assert (spec.max_residual, spec.ortho_defect) == ref[3:]
-            weight = _reference_anomalous_weight(*(ref[:3] for ref in expected), n_atoms + 1)
-            assert anomalous_weight(*got).hex() == weight.hex()
+            _check_weight(anomalous_weight(*got), [ref[:3] for ref in expected], params, n_max)
         found = [auto_nmax(params, parity) for parity in (1, -1)]
         with monkeypatch.context() as patch:
             patch.setattr(ed, "parity_band", _reference_parity_band)
@@ -741,8 +753,49 @@ def test_anomalous_weight_equals_the_dense_shift_reference_across_couplings(n_at
                 params = replace(template, g=g, g_prime=gp_over_g * g)
                 n_max = max(auto_nmax(params, parity) for parity in (1, -1))
                 blocks = [solve_full(params, n_max, parity) for parity in (1, -1)]
-                weight = _reference_anomalous_weight(*((b.indices, b.energies, b.amplitudes) for b in blocks), n_atoms + 1)
-                assert anomalous_weight(*blocks).hex() == weight.hex(), (fields, ratio, gp_over_g, n_max)
+                _check_weight(anomalous_weight(*blocks), [(b.indices, b.energies, b.amplitudes) for b in blocks], params, n_max)
+
+
+def _two_photon_expectation(block):
+    """<G|a a|G> of the block's lowest vector, through a dense a a on the whole basis."""
+    basis = block.basis
+    a = np.diag(np.sqrt(np.arange(1.0, basis.n_max + 1)), 1)
+    ground = np.zeros(basis.dim)
+    ground[block.indices] = block.amplitudes[:, 0]
+    return float(ground @ np.kron(a @ a, np.eye(basis.n_atoms + 1)) @ ground)
+
+
+# N = 2 at g = 2 g_c, n_max from auto_nmax: the ground state is odd at
+# g'/g = 0.01 and even at 0.3
+_CRW_CASES = [(0.01, 10), (0.3, 22)]
+
+
+@pytest.mark.parametrize("gp_over_g, n_max", _CRW_CASES)
+def test_anomalous_weight_reads_only_the_ground_vector(gp_over_g, n_max):
+    g = 2 * critical_coupling(ModelParams(n_atoms=2))
+    blocks = [solve_full(ModelParams(g=g, g_prime=gp_over_g * g, n_atoms=2), n_max, parity) for parity in (1, -1)]
+    k = 0 if blocks[0].energies[0] <= blocks[1].energies[0] else 1
+    assert k == (0 if gp_over_g > 0.1 else 1)
+    masked = [replace(b, amplitudes=np.full_like(b.amplitudes, np.nan)) for b in blocks]
+    masked[k].amplitudes[:, 0] = blocks[k].amplitudes[:, 0]
+    assert anomalous_weight(*blocks) > 0
+    assert anomalous_weight(*masked).hex() == anomalous_weight(*blocks).hex()
+
+
+@pytest.mark.parametrize("gp_over_g, n_max", _CRW_CASES)
+def test_anomalous_weight_takes_the_lower_block_and_ties_go_to_the_even_block(gp_over_g, n_max):
+    g = 2 * critical_coupling(ModelParams(n_atoms=2))
+    params = ModelParams(g=g, g_prime=gp_over_g * g, n_atoms=2)
+    even, odd = (solve_full(params, n_max, parity) for parity in (1, -1))
+    w_even, w_odd = (abs(_two_photon_expectation(b)) for b in (even, odd))
+    assert abs(w_even - w_odd) > 1e-6 * w_even
+    tie = replace(odd, energies=odd.energies - odd.energies[0] + even.energies[0])
+    raised = replace(even, energies=even.energies + (abs(even.energies[0] - odd.energies[0]) + 1.0))
+    assert tie.energies[0] == even.energies[0] and raised.energies[0] > odd.energies[0]
+    for blocks, expected in (((even, tie), w_even), ((raised, odd), w_odd)):
+        weight = anomalous_weight(*blocks)
+        assert weight == pytest.approx(expected, rel=1e-13, abs=0)
+        _check_weight(weight, [(b.indices, b.energies, b.amplitudes) for b in blocks], params, n_max)
 
 
 def test_callers_get_arrays_that_share_nothing_with_the_table():
