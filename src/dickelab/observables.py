@@ -179,12 +179,12 @@ def anomalous_weight(full_even: FullSpectrum, full_odd: FullSpectrum) -> float:
     if full_even.basis != full_odd.basis:
         raise ValueError("parity blocks were solved on different bases")
     block = full_even if full_even.energies[0] <= full_odd.energies[0] else full_odd
-    shift = 2 * (block.basis.n_atoms + 1)
+    stride = block.basis.n_atoms + 1
     ground = block.amplitudes[:, 0]
-    flat = np.zeros(block.basis.dim + shift)
+    flat = np.zeros(block.basis.dim + 2 * stride)
     flat[block.indices] = ground
-    n = block.indices // (block.basis.n_atoms + 1)
-    return float(abs(np.dot(ground * np.sqrt((n + 1) * (n + 2)), flat[block.indices + shift])))
+    n = block.indices // stride
+    return float(abs(np.dot(ground * np.sqrt((n + 1) * (n + 2)), flat[block.indices + 2 * stride])))
 
 
 def evaluate_time_correlation(cs: CorrelationSpectrum, tau_values) -> list[float]:
