@@ -246,6 +246,9 @@ def parse_config(source) -> ScanConfig:
 
     gprime_over_g = raw.get("gprime_over_g")
     if gprime_over_g is not None:
+        if model is not None and model.g_prime != 0:
+            errors.append(f"'model.g_prime' ({model.g_prime!r}) and 'gprime_over_g' ({gprime_over_g!r}) "
+                          "both set g'; give only one of them")
         gprime_over_g = _number(errors, gprime_over_g, 0, "gprime_over_g must be a finite number >= 0",
                                 inclusive=True)
 

@@ -98,6 +98,24 @@ def test_pairs_must_be_positive(capsys):
     assert "--pairs must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, workload, message", [
+    pytest.param("empty", "staircase_n5", "no bench/run.py there", id="no-run-py"),
+    pytest.param("this checkout", "staircase_n6", "--workload 'staircase_n6': not 'all' or a workload of BENCHMARK.json",
+                 id="unknown-workload"),
+])
+def test_bad_parent_root_or_workload_stops_the_tool_before_any_run(tmp_path, monkeypatch, capsys, where, workload, message):
+    def no_run(*args):
+        raise AssertionError("run_once called")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    root = tmp_path if where == "empty" else bench_pairs.ROOT
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent-root", str(root), "--workload", workload])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+
+
 _STUB_RUN = """import json, sys
 from pathlib import Path
 log = Path({log!r})
@@ -121,7 +139,7 @@ def _stub(tmp_path, side, rate, correct=True, code=0):
     (root / "bench" / "run.py").write_text(_STUB_RUN.format(
         log=str(tmp_path / "log"), side=side, revision=f"rev-{side}", rate=rate, correct=correct, code=code,
     ))
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    (root / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "staircase_n5"}], "end_to_end": END_TO_END}))
     return root
 
 

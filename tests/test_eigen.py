@@ -6,7 +6,8 @@ from scipy.linalg.lapack import dstevd
 
 from dickelab import eigen
 from dickelab.eigen import EigenError, eigh
-from dickelab.model import ModelParams, build_sector_hamiltonian
+from dickelab.ed import solve_ground
+from dickelab.model import ModelParams, build_sector_hamiltonian, sector_bands
 from dickelab.theory import critical_coupling
 
 
@@ -129,6 +130,32 @@ def test_band_path_is_bit_identical_to_dense_eigh(dstevd_calls):
         assert d.eigenvectors.flags["C_CONTIGUOUS"], label
         count += 1
     assert len(dstevd_calls) == count
+
+
+def _hex(a):
+    return np.shape(a), [float(x).hex() for x in np.ravel(a)]
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 5, 20, 80])
+def test_band_path_from_sector_bands_equals_eigh_of_the_dense_sector(n_atoms):
+    # the band path reads only (d, e) and a scale max(|d|, |e|) taken from
+    # them, and gives the bits of eigh on the dense sector matrix
+    gc = critical_coupling(ModelParams(n_atoms=n_atoms))
+    for ratio in (0.0, 0.7, 2.0, 3.0):
+        params = ModelParams(n_atoms=n_atoms, g=ratio * gc)
+        p_star = solve_ground(params).point.p_star
+        sectors = {*range(max(p_star - 1, 0), p_star + 3), 0, n_atoms // 2, n_atoms - 1}
+        for p in sorted(sectors):
+            d, e = sector_bands(params, p)
+            scale = float(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))
+            got = eigen._eigh_bands(d, e, scale)
+            want = eigh(build_sector_hamiltonian(params, p))
+            label = f"N{n_atoms}-{ratio}-P{p}"
+            assert _hex(got.eigenvalues) == _hex(want.eigenvalues), label
+            assert _hex(got.eigenvectors) == _hex(want.eigenvectors), label
+            assert got.eigenvectors.flags["C_CONTIGUOUS"], label
+            assert got.max_residual.hex() == want.max_residual.hex(), label
+            assert got.ortho_defect.hex() == want.ortho_defect.hex(), label
 
 
 def test_one_entry_off_the_bands_takes_the_dense_path(dstevd_calls):
@@ -328,8 +355,8 @@ def test_band_certificate_equals_its_multi_pass_form():
     cases = segmented = one_row = tied = signed_zero = 0
     for m in _random_tridiagonals(600, seed=11):
         scale, d, e, one_segment, max_residual, ortho_defect, dec = _reference_band_certificate(m)
-        got_scale, bands = eigen._check_symmetric(m)
-        assert got_scale.hex() == scale.hex()
+        bands = eigen._bands(m)
+        assert float(np.abs(m).max()).hex() == scale.hex()
         assert bands is not None and np.array_equal(bands[0], d) and np.array_equal(bands[1], e)
         assert (np.count_nonzero(bands[1]) == bands[1].size) == one_segment
         assert dec.max_residual.hex() == max_residual.hex()

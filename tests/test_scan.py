@@ -85,6 +85,24 @@ def test_parse_config_rejects_sector_quantities_with_crw(tmp_path):
     assert parse_config(ok).gprime_over_g == 0.1
 
 
+@pytest.mark.parametrize("gprime_over_g", [0.05, 0.0])
+def test_g_prime_set_both_ways_is_a_config_error(tmp_path, capsys, gprime_over_g):
+    # params_at would take gprime_over_g * g and drop model.g_prime without a word
+    model = {"omega_a": 1.0, "omega_b": 1.0, "n_atoms": 2, "g_prime": 0.3}
+    both = {"model": model, "quantities": ["anomalous"], "gprime_over_g": gprime_over_g}
+    with pytest.raises(ConfigError) as err:
+        parse_config(_config_dict(tmp_path, **both))
+    assert len(err.value.errors) == 1
+    assert "'model.g_prime'" in err.value.errors[0] and "'gprime_over_g'" in err.value.errors[0]
+    assert main(["scan", str(_write_config(tmp_path, **both))]) == 2
+    assert capsys.readouterr().err.splitlines() == ["invalid config:", f"  - {err.value.errors[0]}"]
+    # either source alone stays valid, and so does a zero model.g_prime
+    alone = parse_config(_config_dict(tmp_path, model=model, quantities=["anomalous"]))
+    assert alone.params_at(2.0).g_prime == 0.3
+    zero = parse_config({**_config_dict(tmp_path, **both), "model": {**model, "g_prime": 0.0}})
+    assert zero.params_at(2.0).g_prime == gprime_over_g * zero.params_at(2.0).g
+
+
 def test_parse_config_rejects_nonpositive_grid(tmp_path):
     with pytest.raises(ConfigError, match="positive"):
         parse_config(_config_dict(tmp_path, grid=[2.0, -1.0]))

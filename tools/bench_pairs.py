@@ -121,7 +121,7 @@ def format_row(row: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--parent-root", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--parent-root", type=Path, required=True, help="checkout of the parent commit, with its bench/run.py")
     parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
@@ -131,7 +131,12 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     if args.out is not None and not args.out.resolve().parent.is_dir():
         parser.error(f"--out {args.out}: no such directory")
+    if not (args.parent_root / "bench" / "run.py").is_file():
+        parser.error(f"--parent-root {args.parent_root}: no bench/run.py there")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [workload["name"] for workload in spec["workloads"]]
+    if args.workload not in (*names, "all"):
+        parser.error(f"--workload {args.workload!r}: not 'all' or a workload of BENCHMARK.json ({', '.join(names)})")
     roots = {"parent": args.parent_root.resolve(), "change": ROOT}
     sides = {side: {"revision": None, "machines": None, "runs": []} for side in roots}
     for pair in range(1, args.pairs + 1):
